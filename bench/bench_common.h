@@ -101,12 +101,12 @@ nowMs()
 /**
  * Machine-readable sink for benchmark records.  Every harness creates
  * one with its figure name and calls add() per (workload, variant)
- * measurement; write() emits `BENCH_<figure>.json` in the working
- * directory so the perf trajectory can be tracked across PRs without
- * scraping the human-readable tables.  `events` is the number of
- * delivered events when the harness tracks them, 0 otherwise (the
- * pipeline-level figure harnesses report modeled costs, not event
- * streams).
+ * wall-clock measurement; write() emits `BENCH_<figure>.json` in the
+ * working directory so the perf trajectory can be tracked across PRs
+ * without scraping the human-readable tables.  `events` is the number
+ * of delivered events when the harness tracks them, 0 otherwise.
+ * Modeled (cost-model) numbers are never wall time: harnesses record
+ * them through metric(), e.g. as "modeled_ms".
  */
 class JsonReport
 {
@@ -139,9 +139,9 @@ class JsonReport
         const std::string path = "BENCH_" + figure_ + ".json";
         char line[512];
         std::string json;
-        // Thread-scaling series (solver-threads-N, replay shards...)
-        // are only interpretable against the host's core count, so
-        // stamp it into every report.
+        // Thread-scaling series (solver-threads-N, service worker
+        // shards) are only interpretable against the host's core
+        // count, so stamp it into every report.
         std::snprintf(line, sizeof(line),
                       "{\n  \"figure\": \"%s\",\n"
                       "  \"hardware_concurrency\": %u,\n"

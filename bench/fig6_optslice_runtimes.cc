@@ -62,8 +62,10 @@ main()
         const std::string &name = names[i];
         const core::OptSliceResult &result = rows[i].result;
 
-        json.add(name, "hybrid", result.hybrid.total() * 1e3);
-        json.add(name, "optslice", result.optimistic.total() * 1e3);
+        json.metric(name, "hybrid", "modeled_ms",
+                    result.hybrid.total() * 1e3);
+        json.metric(name, "optslice", "modeled_ms",
+                    result.optimistic.total() * 1e3);
         json.metric(name, "optslice", "dyn_speedup", result.dynSpeedup);
         json.metric(name, "optslice", "rollbacks",
                     double(result.misSpeculations));

@@ -36,7 +36,6 @@
 #include "dyn/giri.h"
 #include "dyn/plans.h"
 #include "exec/trace.h"
-#include "support/thread_pool.h"
 #include "workloads/workloads.h"
 
 using namespace oha;
@@ -200,82 +199,18 @@ main()
 
     std::printf("%s\n", table.str().c_str());
 
-    // ---- Sharded replay: one capture, N decode workers --------------
-    // Each shard decodes the full stream but owns a disjoint obj-id
-    // partition, so the useful throughput axis is aggregate decoded
-    // events/sec across workers (shards x stream events / wall time).
-    // The 4-shard series must clear 2x the 1-shard series on the
-    // largest corpus (the PR acceptance bar).
+    // ---- Segmented spill capture + mmap-backed replay ---------------
+    // Force the largest capture through the spill path (~8 segments)
+    // and price both sides: capture with pwrite spill, replay with
+    // per-segment mmap windows.  The resident fraction is what
+    // record-once/analyze-many actually holds in RAM.
     if (!largestName.empty()) {
         const auto workload = workloads::makeRaceWorkload(largestName, 1, 1);
         const ir::Module &module = *workload.module;
         const auto &input = workload.testingSet.front();
         const auto plan = dyn::fullFastTrackPlan(module);
         const exec::RecordedTrace trace = exec::recordRun(module, input);
-        const std::uint64_t streamEvents = trace.result.totalEvents.total();
 
-        TextTable shardTable({"workload", "shards", "wall ms",
-                              "decoded events", "agg events/sec"});
-        double baseEps = 0;
-        double eps4 = 0;
-        for (const std::uint32_t shards : {1u, 2u, 4u}) {
-            const Sample sample = measure(kReps, [&] {
-                support::runBatch(
-                    shards,
-                    [&](std::size_t s) {
-                        dyn::FastTrack tool;
-                        exec::TraceReplayer replayer(module, trace);
-                        if (shards > 1) {
-                            tool.setShardFilter(
-                                static_cast<std::uint32_t>(s), shards);
-                            replayer.setShardFilter(
-                                static_cast<std::uint32_t>(s), shards);
-                        }
-                        replayer.attach(&tool, &plan);
-                        const auto result = replayer.run();
-                        if (tool.races().size() > 1u << 20)
-                            std::abort();
-                        return result.steps;
-                    },
-                    shards);
-                return std::uint64_t(shards) * streamEvents;
-            });
-            const double eps = sample.eventsPerSec();
-            if (shards == 1)
-                baseEps = eps;
-            if (shards == 4)
-                eps4 = eps;
-            shardTable.addRow({largestName, std::to_string(shards),
-                               fmtDouble(sample.bestMs, 2),
-                               std::to_string(sample.events),
-                               fmtDouble(eps / 1e6, 2) + "M"});
-            const std::string variant =
-                "sharded-replay-" + std::to_string(shards);
-            json.add(largestName, variant, sample.bestMs, sample.events);
-            json.metric(largestName, "fasttrack",
-                        "sharded_agg_events_per_sec_" +
-                            std::to_string(shards),
-                        eps);
-            if (shards > 1)
-                json.metric(largestName, "fasttrack",
-                            "sharded_speedup_" + std::to_string(shards),
-                            baseEps > 0 ? eps / baseEps : 0);
-        }
-        std::printf("%s\n", shardTable.str().c_str());
-        const double shardSpeedup = baseEps > 0 ? eps4 / baseEps : 0;
-        std::printf("4-shard aggregate decode throughput: %.2fx of "
-                    "serial\n\n",
-                    shardSpeedup);
-        if (shardSpeedup < 2.0) {
-            std::printf("WARNING: 4-shard aggregate events/sec below the "
-                        "2x acceptance bar\n");
-        }
-
-        // ---- Segmented spill capture + mmap-backed replay -----------
-        // Force the largest capture through the spill path (~8
-        // segments) and price both sides: capture with pwrite spill,
-        // replay with per-segment mmap windows.  The resident fraction
-        // is what record-once/analyze-many actually holds in RAM.
         exec::TraceStoreOptions spillOptions;
         spillOptions.segmentBytes = std::max<std::size_t>(
             4096, static_cast<std::size_t>(trace.events.sizeBytes() / 8));

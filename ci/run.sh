@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 CI entry point.  Usage:
 #
-#   ci/run.sh            # plain RelWithDebInfo build + full test suite
+#   ci/run.sh            # knob-table check (every OHA_* variable src/
+#                        # reads has a docs/SERVICE.md row, and no row
+#                        # names a variable src/ does not read), then a
+#                        # plain RelWithDebInfo build + full test suite
 #   ci/run.sh sanitize   # AddressSanitizer build, tests under OHA_THREADS=4
 #   ci/run.sh tsan       # ThreadSanitizer build, tests under OHA_THREADS=4
 #   ci/run.sh bench      # build + run the wall-time microbenchmarks,
@@ -33,8 +36,26 @@ cd "$(dirname "$0")/.."
 job="${1:-plain}"
 jobs="$(nproc 2>/dev/null || echo 4)"
 
+# OHA_* names src/ reads from the environment must equal the rows of
+# the docs/SERVICE.md knob table.  OHA_BENCH_SMOKE is exempt: the
+# benches read it, not src/.
+check_knob_docs() {
+    local used documented
+    used="$(grep -rhoE '(getenv|envSizeBytes)\([[:space:]]*"OHA_[A-Z0-9_]+"' \
+        src | grep -oE 'OHA_[A-Z0-9_]+' | sort -u)"
+    documented="$(grep -oE '^\| `OHA_[A-Z0-9_]+`' docs/SERVICE.md |
+        grep -oE 'OHA_[A-Z0-9_]+' | grep -vx OHA_BENCH_SMOKE | sort -u)"
+    if [ "$used" != "$documented" ]; then
+        echo "knob table in docs/SERVICE.md is out of sync with src/" \
+            "(< read by src/, > documented):" >&2
+        diff <(echo "$used") <(echo "$documented") >&2 || true
+        return 1
+    fi
+}
+
 case "$job" in
 plain)
+    check_knob_docs
     build_dir=build-ci
     cmake -B "$build_dir" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
     cmake --build "$build_dir" -j "$jobs"
@@ -70,9 +91,9 @@ bench-release)
     cmake --build "$build_dir" -j "$jobs" --target microbench_trace \
         microbench_incremental microbench_static
     # Force a low segment threshold so the smoke run exercises the
-    # segmented spill-to-disk capture path and the sharded-replay
-    # series end to end (BENCH_microbench_trace.json is uploaded as
-    # an artifact by the workflow).
+    # segmented spill-to-disk capture path end to end
+    # (BENCH_microbench_trace.json is uploaded as an artifact by the
+    # workflow).
     OHA_BENCH_SMOKE=1 OHA_TRACE_SEGMENT_BYTES=8192 \
         "$build_dir"/bench/microbench_trace
     # Incremental re-analysis smoke: parity between the patched and
@@ -118,16 +139,16 @@ service)
     cmake --build "$build_dir" -j "$jobs"
     # The concurrent pieces of the daemon under TSan: the request
     # queue, the service itself, the shared cross-request cache
-    # (including the torture test), and the segmented-trace /
-    # sharded-replay paths whose captures and spill files are shared
-    # across concurrent replays.
+    # (including the torture test), and the segmented-trace paths
+    # whose captures and spill files are shared across concurrent
+    # replays.
     # WavefrontParallel and RunBatch cover the wavefront-parallel
     # Andersen solver and the chunked batch primitive it fans out on.
     # Snapshot covers the durability layer under TSan as well: the
     # boot-time warm start, the periodic/final snapshot writers racing
     # request shards, and the crash-recovery sweep.
     OHA_THREADS=4 ctest --test-dir "$build_dir" --output-on-failure \
-        -R 'RequestQueue|AnalysisService|LruList|SharedCache|ConfiguredThreads|TraceCodec|SegmentedCapture|SegmentedPipeline|ShardedReplayParity|ShardedPipeline|EnvSizeBytes|IncrementalAndersen|ModuleDiff|SharedCacheLineage|WavefrontParallel|RunBatch|Snapshot'
+        -R 'RequestQueue|AnalysisService|LruList|SharedCache|ConfiguredThreads|TraceCodec|SegmentedCapture|SegmentedPipeline|EnvSizeBytes|IncrementalAndersen|ModuleDiff|SharedCacheLineage|WavefrontParallel|RunBatch|Snapshot'
     # Smoke throughput run; the binary exits non-zero if the parity,
     # warm-hit-rate, warm-latency, or restart-warm acceptance bars
     # fail (the restart-warm series persists a snapshot, clears every

@@ -11,7 +11,6 @@
 #include "exec/trace_cache.h"
 #include "profile/observation_cache.h"
 #include "profile/profiler.h"
-#include "support/env.h"
 #include "support/thread_pool.h"
 
 namespace oha::core {
@@ -78,72 +77,6 @@ replayFastTrack(const ir::Module &module, const exec::RecordedTrace &trace,
         out.slowChecks = checker->slowContextChecks();
         out.violated = checker->violated();
     }
-    return out;
-}
-
-/**
- * Sharded replay of one FastTrack analysis: @p numShards workers each
- * decode the full stream but analyze only their slice of shadow
- * memory (obj % numShards); sync/spawn/join and thread-lifecycle
- * events are broadcast to every shard, so all shards maintain
- * identical vector clocks and each memory cell is checked by exactly
- * one.  The merged result is byte-identical to replayFastTrack():
- * races are the deterministic union of the disjoint per-shard sets,
- * stream-level fields (status, steps, outputs, totalEvents) are
- * shard-invariant, and delivered Load/Store counts sum across the
- * partition back to the serial counts.  Checker-attached (optimistic)
- * replays cannot shard — the checker's abort must see every access in
- * stream order — so only the full/hybrid reference evaluations take
- * this path.
- */
-FtRun
-replayFastTrackSharded(const ir::Module &module,
-                       const exec::RecordedTrace &trace,
-                       const exec::InstrumentationPlan &plan,
-                       std::uint32_t numShards, std::size_t threads)
-{
-    if (numShards <= 1)
-        return replayFastTrack(module, trace, plan);
-
-    struct ShardOut
-    {
-        exec::RunResult result;
-        std::set<dyn::RaceReport> races;
-    };
-    const std::vector<ShardOut> shards = support::runBatch(
-        numShards,
-        [&](std::size_t s) {
-            ShardOut out;
-            dyn::FastTrack tool;
-            tool.setShardFilter(static_cast<std::uint32_t>(s), numShards);
-            exec::TraceReplayer replayer(module, trace);
-            replayer.setShardFilter(static_cast<std::uint32_t>(s),
-                                    numShards);
-            replayer.attach(&tool, &plan);
-            out.result = replayer.run();
-            out.races = tool.races();
-            return out;
-        },
-        threads);
-
-    std::vector<std::set<dyn::RaceReport>> raceSets;
-    raceSets.reserve(shards.size());
-    for (const ShardOut &shard : shards)
-        raceSets.push_back(shard.races);
-    const std::set<dyn::RaceReport> merged = dyn::mergeShardRaces(raceSets);
-
-    FtRun out;
-    out.result = shards[0].result;
-    exec::EventCounts &delivered = out.result.delivered[0];
-    for (std::size_t s = 1; s < shards.size(); ++s) {
-        delivered[exec::EventClass::Load] +=
-            shards[s].result.delivered[0][exec::EventClass::Load];
-        delivered[exec::EventClass::Store] +=
-            shards[s].result.delivered[0][exec::EventClass::Store];
-    }
-    out.ftDelivered = delivered;
-    for (const dyn::RaceReport &race : merged)
-        out.races.insert({race.first, race.second});
     return out;
 }
 
@@ -543,21 +476,13 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
         FtRun full;
         FtRun hybrid;
     };
-    const auto replayShards = static_cast<std::uint32_t>(
-        config.replayShards != 0
-            ? std::min<std::size_t>(config.replayShards, 64)
-            : support::envSizeBytes("OHA_REPLAY_SHARDS", 1, 1, 64));
     const std::vector<RefEval> refs = support::runBatch(
         numTests,
         [&](std::size_t i) {
             RefEval ref;
             if (config.useTraceReplay) {
-                ref.full = replayFastTrackSharded(module, *traces[i],
-                                                  fullPlan, replayShards,
-                                                  config.threads);
-                ref.hybrid = replayFastTrackSharded(module, *traces[i],
-                                                    hybridPlan, replayShards,
-                                                    config.threads);
+                ref.full = replayFastTrack(module, *traces[i], fullPlan);
+                ref.hybrid = replayFastTrack(module, *traces[i], hybridPlan);
             } else {
                 ref.full = runFastTrack(module, workload.testingSet[i],
                                         fullPlan);

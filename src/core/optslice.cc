@@ -13,7 +13,6 @@
 #include "exec/trace_cache.h"
 #include "profile/observation_cache.h"
 #include "profile/profiler.h"
-#include "support/env.h"
 #include "support/thread_pool.h"
 
 namespace oha::core {
@@ -498,18 +497,6 @@ runOptSlice(const workloads::Workload &workload,
     // breaker trips.
     const std::size_t tasks =
         workload.testingSet.size() * endpoints.size();
-    // Replay-only batches may run wider than OHA_THREADS: the tasks
-    // share one immutable capture read-only (axis (a) of sharded
-    // replay), so OHA_REPLAY_SHARDS raises the floor here while
-    // interpreter-bound phases keep the configured width.
-    const std::size_t replayWorkers =
-        config.useTraceReplay
-            ? std::max<std::size_t>(
-                  support::configuredThreads(config.threads),
-                  config.replayShards != 0
-                      ? std::min<std::size_t>(config.replayShards, 64)
-                      : support::envSizeBytes("OHA_REPLAY_SHARDS", 1, 1, 64))
-            : config.threads;
     const std::vector<GiriRun> refs = support::runBatch(
         tasks,
         [&](std::size_t task) {
@@ -524,7 +511,7 @@ runOptSlice(const workloads::Workload &workload,
                            workload.testingSet[task / endpoints.size()],
                            hybridPlans[e], target);
         },
-        replayWorkers);
+        config.threads);
 
     // Speculative runs, in adaptive rounds (same repair loop as
     // runOptFt): batch the remaining tasks under the current

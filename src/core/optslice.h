@@ -62,17 +62,6 @@ struct OptSliceConfig
      *  to the direct path; only interpretedSteps/replayedEvents (and
      *  wall-clock time) differ. */
     bool useTraceReplay = true;
-    /** With useTraceReplay: minimum worker width for the reference
-     *  replay batch.  Giri slices per (input, endpoint) task rather
-     *  than per address range, so replay parallelism here is axis (a)
-     *  of sharded replay — many independent tasks reading one
-     *  immutable capture concurrently; this floor lets
-     *  OHA_REPLAY_SHARDS widen those batches beyond OHA_THREADS
-     *  without touching interpreter-bound phases.  0 = the
-     *  OHA_REPLAY_SHARDS env var (validated + clamped to [1, 64];
-     *  default 1 = no widening).  Results are index-merged, hence
-     *  identical at any width. */
-    std::size_t replayShards = 0;
     /** With useTraceReplay: serve captures from the shared
      *  cross-request cache (exec/trace_cache.h) instead of recording
      *  privately — see OptFtConfig::cacheTraceCaptures. */

@@ -307,7 +307,7 @@ Interpreter::runQuantum(std::uint32_t pick, std::uint64_t quantum)
         auto fire = [&] {
             ++totalEvents_.counts[static_cast<std::size_t>(cls)];
             if (recorder_)
-                recorder_->recordEvent(cls, tid, ins, ctx);
+                recorder_->recordEvent(tid, ins, ctx);
             if (evMask)
                 fireEvent(ctx, evMask, cls);
         };

@@ -19,8 +19,8 @@ namespace oha::exec {
 namespace {
 
 // Global mmap accounting: tests assert that replaying a spilled
-// capture keeps peak resident trace bytes O(segment size × shards)
-// rather than O(trace size).
+// capture keeps peak resident trace bytes O(segment size × concurrent
+// replays) rather than O(trace size).
 std::atomic<std::size_t> g_mappedNow{0};
 std::atomic<std::size_t> g_mappedPeak{0};
 
@@ -172,25 +172,6 @@ SpillFile::append(const TraceBuffer &buffer, std::uint64_t &offsetOut)
     return true;
 }
 
-bool
-SpillFile::append(const void *data, std::size_t len,
-                  std::uint64_t &offsetOut)
-{
-    const std::uint64_t rollback = size_;
-    static constexpr std::uint8_t zeros[8] = {};
-    const auto pad = static_cast<std::size_t>((8 - size_ % 8) % 8);
-    bool ok = pad == 0 || writeAll(zeros, pad);
-    const std::uint64_t start = size_;
-    ok = ok && writeAll(static_cast<const std::uint8_t *>(data), len);
-    if (!ok) {
-        if (::ftruncate(fd_, static_cast<::off_t>(rollback)) == 0)
-            size_ = rollback;
-        return false;
-    }
-    offsetOut = start;
-    return true;
-}
-
 std::shared_ptr<const SpillFile::Mapping>
 SpillFile::map(std::uint64_t offset, std::size_t length) const
 {
@@ -217,21 +198,9 @@ TraceStore::TraceStore(const TraceStoreOptions &options)
 {
 }
 
-void
-TraceStore::closeOpenSegment()
+bool
+TraceStore::spillToFile(const TraceBuffer &buffer, std::uint64_t &offsetOut)
 {
-    OHA_ASSERT(!finished_, "closeOpenSegment() after finish()");
-    const std::size_t bytes = open_.sizeBytes();
-    if (bytes == 0)
-        return;
-
-    Segment segment;
-    segment.header = openHeader_;
-    segment.header.bytes = bytes;
-    segment.header.leanEntries = openLean_.size();
-    if (captureValues_)
-        segment.header.flags |= SegmentHeader::kFlagHasValues;
-
     if (!file_ && !spillFailed_) {
         int createErrno = 0;
         file_ = SpillFile::create(&createErrno);
@@ -240,53 +209,61 @@ TraceStore::closeOpenSegment()
             spillStats_.lastErrno = createErrno;
         }
     }
-    bool onDisk = false;
-    if (file_ && !spillFailed_) {
-        onDisk = file_->append(open_, segment.fileOffset);
-        if (!onDisk) {
-            // Mid-stream spill failure (disk full, I/O error): stop
-            // retrying disk for the rest of this capture, but KEEP
-            // the spill file — segments already written to it stay
-            // on disk and replay normally; only new segments fall
-            // back to RAM.  The errno is surfaced via spillStats().
-            spillFailed_ = true;
-            spillStats_.lastErrno = file_->lastErrno();
-            if (spillStats_.spilledSegments == 0)
-                file_.reset(); // nothing on disk yet: drop the file
-        }
-    }
-    if (onDisk) {
+    if (!file_ || spillFailed_)
+        return false;
+    if (file_->append(buffer, offsetOut))
+        return true;
+    // Mid-stream spill failure (disk full, I/O error): stop retrying
+    // disk for the rest of this capture, but KEEP the spill file —
+    // segments already written to it stay on disk and replay
+    // normally; only new segments fall back to RAM.  The errno is
+    // surfaced via spillStats().
+    spillFailed_ = true;
+    spillStats_.lastErrno = file_->lastErrno();
+    if (spillStats_.spilledSegments == 0)
+        file_.reset(); // nothing on disk yet: drop the file
+    return false;
+}
+
+void
+TraceStore::addSegment(const SegmentHeader &header, TraceBuffer &&buffer,
+                       bool spill)
+{
+    Segment segment;
+    segment.header = header;
+    const std::size_t bytes = buffer.sizeBytes();
+    if (spill && spillToFile(buffer, segment.fileOffset)) {
         segment.header.flags |= SegmentHeader::kFlagSpilled;
         ++spillStats_.spilledSegments;
     } else {
-        segment.buffer = std::make_unique<TraceBuffer>(std::move(open_));
+        segment.buffer = std::make_unique<TraceBuffer>(std::move(buffer));
         residentClosed_ += bytes;
-        ++spillStats_.ramFallbackSegments;
-    }
-    // The sidecar index spills with its segment; on failure it stays
-    // in RAM like the stream bytes would.
-    bool leanOnDisk = false;
-    if (onDisk && !openLean_.empty()) {
-        leanOnDisk = file_->append(openLean_.data(),
-                                   openLean_.size() * sizeof(LeanEvent),
-                                   segment.leanFileOffset);
-        if (!leanOnDisk) {
-            // Same dying-disk response as the stream bytes: keep what
-            // is already spilled, stop issuing further disk writes.
-            spillFailed_ = true;
-            spillStats_.lastErrno = file_->lastErrno();
-        }
-    }
-    if (!leanOnDisk && !openLean_.empty()) {
-        leanResident_ += openLean_.size() * sizeof(LeanEvent);
-        segment.lean = std::move(openLean_);
+        if (spill)
+            ++spillStats_.ramFallbackSegments;
     }
     totalBytes_ += bytes;
     segments_.push_back(std::move(segment));
+}
 
+void
+TraceStore::sealOpenSegment(bool spill)
+{
+    if (open_.sizeBytes() == 0)
+        return;
+    SegmentHeader header = openHeader_;
+    header.bytes = open_.sizeBytes();
+    if (captureValues_)
+        header.flags |= SegmentHeader::kFlagHasValues;
+    addSegment(header, std::move(open_), spill);
     open_ = TraceBuffer();
     openHeader_ = SegmentHeader{};
-    openLean_.clear();
+}
+
+void
+TraceStore::closeOpenSegment()
+{
+    OHA_ASSERT(!finished_, "closeOpenSegment() after finish()");
+    sealOpenSegment(true);
 }
 
 void
@@ -299,26 +276,7 @@ TraceStore::finish()
     // preserves the original all-in-memory behavior exactly.  An
     // empty trailing segment (the last record landed precisely on
     // the threshold) is dropped.
-    const std::size_t bytes = open_.sizeBytes();
-    if (bytes > 0) {
-        Segment segment;
-        segment.header = openHeader_;
-        segment.header.bytes = bytes;
-        segment.header.leanEntries = openLean_.size();
-        if (captureValues_)
-            segment.header.flags |= SegmentHeader::kFlagHasValues;
-        segment.buffer = std::make_unique<TraceBuffer>(std::move(open_));
-        residentClosed_ += bytes;
-        if (!openLean_.empty()) {
-            leanResident_ += openLean_.size() * sizeof(LeanEvent);
-            segment.lean = std::move(openLean_);
-        }
-        totalBytes_ += bytes;
-        segments_.push_back(std::move(segment));
-        open_ = TraceBuffer();
-        openHeader_ = SegmentHeader{};
-        openLean_.clear();
-    }
+    sealOpenSegment(false);
     finished_ = true;
 }
 
@@ -344,30 +302,6 @@ TraceStore::cursor(std::size_t i) const
         cursor.keepAlive_ = std::move(mapping);
     }
     return cursor;
-}
-
-TraceStore::LeanIndexView
-TraceStore::leanIndex(std::size_t i) const
-{
-    OHA_ASSERT(i < segments_.size());
-    const Segment &segment = segments_[i];
-    LeanIndexView view;
-    view.count = static_cast<std::size_t>(segment.header.leanEntries);
-    if (view.count == 0)
-        return view;
-    if (!segment.lean.empty()) {
-        view.data = segment.lean.data();
-        return view;
-    }
-    auto mapping = file_->map(segment.leanFileOffset,
-                              view.count * sizeof(LeanEvent));
-    OHA_ASSERT(mapping, "cannot map spilled trace sidecar index");
-    // append() aligned leanFileOffset to 8 bytes and the mapping base
-    // is page-aligned, so the head-slack-adjusted pointer satisfies
-    // alignof(LeanEvent).
-    view.data = reinterpret_cast<const LeanEvent *>(mapping->data());
-    view.keepAlive = std::move(mapping);
-    return view;
 }
 
 // ------------------------------------------------------------- persistence
@@ -398,7 +332,7 @@ namespace {
 // and the snapshot-embedded blob form.  Bump when any serialized
 // field changes; readers reject other versions (recompute, don't
 // guess).
-constexpr std::uint32_t kTraceMetaVersion = 1;
+constexpr std::uint32_t kTraceMetaVersion = 2;
 
 void
 serializeRunResult(support::ByteWriter &out, const RunResult &result)
@@ -483,10 +417,7 @@ serializeSegmentHeader(support::ByteWriter &out, const SegmentHeader &header)
     out.u64(header.records);
     out.u64(header.steps);
     out.u64(header.tidBitmap);
-    out.u64(header.firstInstr);
-    out.u64(header.lastInstr);
     out.u64(header.bytes);
-    out.u64(header.leanEntries);
     out.u8(header.flags);
 }
 
@@ -496,15 +427,8 @@ deserializeSegmentHeader(support::ByteReader &in, SegmentHeader &header)
     header.records = in.u64();
     header.steps = in.u64();
     header.tidBitmap = in.u64();
-    const std::uint64_t firstInstr = in.u64();
-    const std::uint64_t lastInstr = in.u64();
     header.bytes = in.u64();
-    header.leanEntries = in.u64();
     header.flags = in.u8();
-    if (firstInstr > kNoInstr || lastInstr > kNoInstr)
-        return false;
-    header.firstInstr = static_cast<InstrId>(firstInstr);
-    header.lastInstr = static_cast<InstrId>(lastInstr);
     // Unknown flag bits mean a writer newer than this reader: reject
     // rather than misinterpret.
     if (header.flags & ~(SegmentHeader::kFlagHasValues |
@@ -516,18 +440,16 @@ deserializeSegmentHeader(support::ByteReader &in, SegmentHeader &header)
 /** Meta prologue shared by the capture file and the snapshot blob:
  *  version, capture knobs, segment count, run result, header table. */
 void
-serializeTraceMeta(support::ByteWriter &out, const TraceStore &store,
-                   const RunResult &result, std::uint64_t numSegments,
-                   const std::function<const SegmentHeader &(std::size_t)>
-                       &headerAt)
+serializeTraceMeta(support::ByteWriter &out, const RecordedTrace &trace)
 {
+    const TraceStore &store = trace.events;
     out.u32(kTraceMetaVersion);
     out.u8(store.capturesValues() ? 1 : 0);
     out.u64(store.segmentBytesThreshold());
-    out.u64(numSegments);
-    serializeRunResult(out, result);
-    for (std::uint64_t i = 0; i < numSegments; ++i)
-        serializeSegmentHeader(out, headerAt(static_cast<std::size_t>(i)));
+    out.u64(store.numSegments());
+    serializeRunResult(out, trace.result);
+    for (std::size_t i = 0; i < store.numSegments(); ++i)
+        serializeSegmentHeader(out, store.header(i));
 }
 
 struct TraceMeta
@@ -553,8 +475,8 @@ deserializeTraceMeta(support::ByteReader &in, TraceMeta &meta)
     const std::uint64_t numSegments = in.u64();
     if (!deserializeRunResult(in, meta.result))
         return false;
-    // 57 bytes per serialized header.
-    if (numSegments > in.remaining() / 57)
+    // 33 bytes per serialized header.
+    if (numSegments > in.remaining() / 33)
         return false;
     meta.headers.resize(static_cast<std::size_t>(numSegments));
     std::uint64_t stepSum = 0;
@@ -584,14 +506,10 @@ persistTrace(const RecordedTrace &trace, const std::string &path,
 
     support::DurableWriter writer(path, support::kDurableKindCapture);
     support::ByteWriter meta;
-    serializeTraceMeta(meta, store, trace.result, store.numSegments(),
-                       [&](std::size_t i) -> const SegmentHeader & {
-                           return store.header(i);
-                       });
+    serializeTraceMeta(meta, trace);
     writer.addBlock(meta.data());
 
     for (std::size_t i = 0; i < store.numSegments(); ++i) {
-        const TraceStore::Segment &segment = store.segments_[i];
         writer.beginBlock();
         const bool ok = store.forEachSegmentBytes(
             i, [&](const std::uint8_t *data, std::size_t len) {
@@ -605,30 +523,6 @@ persistTrace(const RecordedTrace &trace, const std::string &path,
             OHA_WARN("trace persist to %s failed: segment %zu unmappable",
                      path.c_str(), i);
             return false;
-        }
-        // Sidecar block (possibly empty) — keeps a fixed
-        // 1 + 2*segments block layout the loader can validate.
-        if (!segment.lean.empty()) {
-            writer.addBlock(segment.lean.data(),
-                            segment.lean.size() * sizeof(LeanEvent));
-        } else if (segment.header.leanEntries > 0) {
-            const std::size_t leanBytes =
-                static_cast<std::size_t>(segment.header.leanEntries) *
-                sizeof(LeanEvent);
-            auto mapping =
-                store.file_->map(segment.leanFileOffset, leanBytes);
-            if (!mapping) {
-                if (errorOut)
-                    *errorOut = path + ": cannot map spilled sidecar " +
-                                std::to_string(i);
-                OHA_WARN("trace persist to %s failed: sidecar %zu "
-                         "unmappable",
-                         path.c_str(), i);
-                return false;
-            }
-            writer.addBlock(mapping->data(), leanBytes);
-        } else {
-            writer.addBlock(nullptr, 0);
         }
     }
 
@@ -673,19 +567,14 @@ loadTrace(const std::string &path, std::string *errorOut)
     TraceMeta meta;
     if (!deserializeTraceMeta(metaIn, meta) || metaIn.remaining() != 0)
         return reject("corrupt meta block");
-    if (reader->numBlocks() != 1 + 2 * meta.headers.size())
+    if (reader->numBlocks() != 1 + meta.headers.size())
         return reject("block count does not match segment table");
 
-    // Cross-check every segment/sidecar block length against the
-    // header table before adopting anything.
+    // Cross-check every segment block length against the header
+    // table before adopting anything.
     for (std::size_t i = 0; i < meta.headers.size(); ++i) {
-        const SegmentHeader &header = meta.headers[i];
-        if (reader->blockLength(1 + 2 * i) != header.bytes)
+        if (reader->blockLength(1 + i) != meta.headers[i].bytes)
             return reject("segment " + std::to_string(i) +
-                          " length mismatch");
-        if (reader->blockLength(2 + 2 * i) !=
-            header.leanEntries * sizeof(LeanEvent))
-            return reject("sidecar " + std::to_string(i) +
                           " length mismatch");
     }
 
@@ -697,13 +586,8 @@ loadTrace(const std::string &path, std::string *errorOut)
     options.captureValues = meta.captureValues;
     TraceStore store(options);
 
-    const std::uint64_t fileSize = reader->fileSize();
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> offsets;
-    offsets.reserve(meta.headers.size());
-    for (std::size_t i = 0; i < meta.headers.size(); ++i)
-        offsets.push_back({reader->blockOffset(1 + 2 * i),
-                           reader->blockOffset(2 + 2 * i)});
-    store.file_ = SpillFile::adoptReadOnly(reader->releaseFd(), fileSize);
+    store.file_ =
+        SpillFile::adoptReadOnly(reader->releaseFd(), reader->fileSize());
 
     for (std::size_t i = 0; i < meta.headers.size(); ++i) {
         TraceStore::Segment segment;
@@ -711,8 +595,7 @@ loadTrace(const std::string &path, std::string *errorOut)
         // Every loaded segment replays through an mmap window of the
         // capture file, whether or not it was spilled at record time.
         segment.header.flags |= SegmentHeader::kFlagSpilled;
-        segment.fileOffset = offsets[i].first;
-        segment.leanFileOffset = offsets[i].second;
+        segment.fileOffset = reader->blockOffset(1 + i);
         store.totalBytes_ +=
             static_cast<std::size_t>(segment.header.bytes);
         ++store.spillStats_.spilledSegments;
@@ -730,13 +613,6 @@ loadTrace(const std::string &path, std::string *errorOut)
                                   segment.header.bytes)))
             return reject("segment " + std::to_string(i) +
                           " unmappable");
-        if (segment.header.leanEntries > 0 &&
-            !store.file_->map(segment.leanFileOffset,
-                              static_cast<std::size_t>(
-                                  segment.header.leanEntries) *
-                                  sizeof(LeanEvent)))
-            return reject("sidecar " + std::to_string(i) +
-                          " unmappable");
     }
 
     trace->events = std::move(store);
@@ -748,31 +624,14 @@ serializeRecordedTrace(const RecordedTrace &trace, support::ByteWriter &out)
 {
     const TraceStore &store = trace.events;
     OHA_ASSERT(store.finished_, "serializeRecordedTrace before finish()");
-    serializeTraceMeta(out, store, trace.result, store.numSegments(),
-                       [&](std::size_t i) -> const SegmentHeader & {
-                           return store.header(i);
-                       });
+    serializeTraceMeta(out, trace);
     for (std::size_t i = 0; i < store.numSegments(); ++i) {
-        const TraceStore::Segment &segment = store.segments_[i];
-        bool ok = store.forEachSegmentBytes(
+        const bool ok = store.forEachSegmentBytes(
             i, [&](const std::uint8_t *data, std::size_t len) {
                 out.bytes(data, len);
             });
         if (!ok)
             return false;
-        if (!segment.lean.empty()) {
-            out.bytes(segment.lean.data(),
-                      segment.lean.size() * sizeof(LeanEvent));
-        } else if (segment.header.leanEntries > 0) {
-            const std::size_t leanBytes =
-                static_cast<std::size_t>(segment.header.leanEntries) *
-                sizeof(LeanEvent);
-            auto mapping =
-                store.file_->map(segment.leanFileOffset, leanBytes);
-            if (!mapping)
-                return false;
-            out.bytes(mapping->data(), leanBytes);
-        }
     }
     return true;
 }
@@ -783,10 +642,10 @@ deserializeRecordedTrace(support::ByteReader &in)
     TraceMeta meta;
     if (!deserializeTraceMeta(in, meta))
         return nullptr;
-    // The remaining payload must hold every segment + sidecar.
+    // The remaining payload must hold every segment.
     std::uint64_t needed = 0;
     for (const SegmentHeader &header : meta.headers)
-        needed += header.bytes + header.leanEntries * sizeof(LeanEvent);
+        needed += header.bytes;
     if (needed > in.remaining())
         return nullptr;
 
@@ -798,81 +657,20 @@ deserializeRecordedTrace(support::ByteReader &in)
     options.captureValues = meta.captureValues;
     TraceStore store(options);
 
-    for (const SegmentHeader &header : meta.headers) {
+    for (SegmentHeader header : meta.headers) {
         const auto bytes = static_cast<std::size_t>(header.bytes);
         const std::uint8_t *payload = in.bytes(bytes);
         if (!payload)
             return nullptr;
-        TraceStore::Segment segment;
-        segment.header = header;
-        const bool wasSpilled =
-            header.flags & SegmentHeader::kFlagSpilled;
-        segment.header.flags &=
+        TraceBuffer buffer;
+        buffer.putBytes(payload, bytes);
+        // Re-spill segments that lived on disk originally, so a
+        // restored big capture does not balloon RAM.  Failure falls
+        // back to RAM exactly like live capture does.
+        const bool wasSpilled = header.flags & SegmentHeader::kFlagSpilled;
+        header.flags &=
             static_cast<std::uint8_t>(~SegmentHeader::kFlagSpilled);
-
-        bool onDisk = false;
-        if (wasSpilled) {
-            // Re-spill segments that lived on disk originally, so a
-            // restored big capture does not balloon RAM.  Failure
-            // falls back to RAM exactly like live capture does.
-            if (!store.file_ && !store.spillFailed_) {
-                int createErrno = 0;
-                store.file_ = SpillFile::create(&createErrno);
-                if (!store.file_) {
-                    store.spillFailed_ = true;
-                    store.spillStats_.lastErrno = createErrno;
-                }
-            }
-            if (store.file_ && !store.spillFailed_) {
-                onDisk = store.file_->append(payload, bytes,
-                                             segment.fileOffset);
-                if (!onDisk) {
-                    store.spillFailed_ = true;
-                    store.spillStats_.lastErrno =
-                        store.file_->lastErrno();
-                    if (store.spillStats_.spilledSegments == 0)
-                        store.file_.reset();
-                }
-            }
-        }
-        if (onDisk) {
-            segment.header.flags |= SegmentHeader::kFlagSpilled;
-            ++store.spillStats_.spilledSegments;
-        } else {
-            auto buffer = std::make_unique<TraceBuffer>();
-            buffer->putBytes(payload, bytes);
-            segment.buffer = std::move(buffer);
-            store.residentClosed_ += bytes;
-            if (wasSpilled)
-                ++store.spillStats_.ramFallbackSegments;
-        }
-
-        if (header.leanEntries > 0) {
-            const std::size_t leanBytes =
-                static_cast<std::size_t>(header.leanEntries) *
-                sizeof(LeanEvent);
-            const std::uint8_t *leanPayload = in.bytes(leanBytes);
-            if (!leanPayload)
-                return nullptr;
-            bool leanOnDisk = false;
-            if (onDisk) {
-                leanOnDisk = store.file_->append(
-                    leanPayload, leanBytes, segment.leanFileOffset);
-                if (!leanOnDisk) {
-                    store.spillFailed_ = true;
-                    store.spillStats_.lastErrno =
-                        store.file_->lastErrno();
-                }
-            }
-            if (!leanOnDisk) {
-                segment.lean.resize(
-                    static_cast<std::size_t>(header.leanEntries));
-                std::memcpy(segment.lean.data(), leanPayload, leanBytes);
-                store.leanResident_ += leanBytes;
-            }
-        }
-        store.totalBytes_ += bytes;
-        store.segments_.push_back(std::move(segment));
+        store.addSegment(header, std::move(buffer), wasSpilled);
     }
     store.finished_ = true;
     if (!in.ok())
@@ -925,9 +723,6 @@ TraceReplayer::requestAbort(std::string reason, const AbortMetadata &meta)
 RunResult
 TraceReplayer::run()
 {
-    if (numShards_ > 1 && shard_ != 0)
-        return runLeanShard();
-
     RunResult result;
     result.delivered.assign(attachments_.size(), EventCounts{});
 
@@ -1032,12 +827,6 @@ TraceReplayer::run()
                     off = static_cast<std::uint32_t>(reader.varint());
                     if (hasValues)
                         value = decodeTraceValue(reader);
-                    // Shard filter: a non-owned access still advances
-                    // the stream/delta state and the totals above,
-                    // but skips context construction and delivery —
-                    // the owning shard is the one that analyzes it.
-                    if (numShards_ > 1 && !ownsObject(obj))
-                        evMask = 0;
                     break;
                   case ir::Opcode::Lock:
                   case ir::Opcode::Unlock:
@@ -1166,107 +955,6 @@ TraceReplayer::run()
         OHA_ASSERT(stepsStarted == trace_.result.steps,
                    "trace step flags diverge from recorded step count");
     }
-    return result;
-}
-
-RunResult
-TraceReplayer::runLeanShard()
-{
-    // Worker decode for shards > 0 (shard 0 runs the full loop): the
-    // aggregate throughput of an N-shard replay is bounded by how
-    // cheaply the N-1 extra workers can reach their partition's
-    // events.  Workers therefore never touch the encoded stream at
-    // all — they walk the pre-decoded LeanEvent sidecar the recorder
-    // captured per segment, so a worker costs O(access + sync
-    // events) instead of O(stream bytes).  See the class comment for
-    // the reduced-RunResult contract.
-    RunResult result;
-    result.delivered.assign(attachments_.size(), EventCounts{});
-
-    // Lean shards replay only sidecar classes; a plan covering
-    // anything else (calls, rets, blocks, outputs) belongs on the
-    // primary.
-    for (const Attachment &attachment : attachments_) {
-        for (InstrId id = 0; id < module_.numInstrs(); ++id) {
-            if (!attachment.plan->coversInstr(id))
-                continue;
-            switch (module_.instr(id).op) {
-              case ir::Opcode::Load:
-              case ir::Opcode::Store:
-              case ir::Opcode::Lock:
-              case ir::Opcode::Unlock:
-              case ir::Opcode::Spawn:
-              case ir::Opcode::Join:
-                break;
-              default:
-                OHA_ASSERT(false, "plan covering a non-sidecar "
-                                  "instruction on a lean worker shard");
-            }
-        }
-        for (BlockId id = 0; id < module_.numBlocks(); ++id)
-            OHA_ASSERT(!attachment.plan->coversBlock(id),
-                       "block-covering plan on a lean worker shard");
-    }
-
-    const TraceStore &store = trace_.events;
-    std::uint32_t numThreads = 0;
-    for (std::size_t seg = 0; seg < store.numSegments(); ++seg) {
-        const TraceStore::LeanIndexView index = store.leanIndex(seg);
-        for (std::size_t i = 0; i < index.count; ++i) {
-            const LeanEvent &event = index.data[i];
-            switch (event.cls) {
-              case LeanEvent::kThreadStartCls: {
-                ++numThreads;
-                const InstrId site =
-                    event.off == 0
-                        ? kNoInstr
-                        : static_cast<InstrId>(event.off - 1);
-                for (const Attachment &attachment : attachments_)
-                    attachment.tool->onThreadStart(
-                        event.tid, static_cast<ThreadId>(event.aux),
-                        site);
-                break;
-              }
-              case LeanEvent::kThreadFinishCls:
-                for (const Attachment &attachment : attachments_)
-                    attachment.tool->onThreadFinish(event.tid);
-                break;
-              default: {
-                const auto cls = static_cast<EventClass>(event.cls);
-                if ((cls == EventClass::Load ||
-                     cls == EventClass::Store) &&
-                    !ownsObject(event.obj))
-                    break;
-                const ir::Instruction &ins = module_.instr(event.instr);
-                EventCtx ctx;
-                ctx.tid = event.tid;
-                ctx.instr = &ins;
-                ctx.obj = event.obj;
-                ctx.off = event.off;
-                ctx.otherTid = static_cast<ThreadId>(event.aux);
-                ctx.calleeResolved = ins.callee;
-                for (std::size_t a = 0; a < attachments_.size(); ++a) {
-                    if (!attachments_[a].plan->coversInstr(event.instr))
-                        continue;
-                    ++result.delivered[a][cls];
-                    attachments_[a].tool->onEvent(ctx);
-                }
-                break;
-              }
-            }
-        }
-    }
-
-    // The sidecar carries no step flags, so a mid-replay abort has no
-    // step boundary to stop at; aborting tools (invariant checkers)
-    // belong on the primary shard.
-    OHA_ASSERT(!abortRequested_,
-               "aborting tool attached to a lean worker shard");
-    result.numThreads = numThreads;
-    result.status = trace_.result.status;
-    result.abortReason = trace_.result.abortReason;
-    result.abortMeta = trace_.result.abortMeta;
-    result.steps = trace_.result.steps;
     return result;
 }
 

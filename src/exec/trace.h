@@ -20,14 +20,15 @@
  * small traces never spill and stay all-in-RAM exactly as before) it
  * is closed at a record boundary and its bytes are written to an
  * unlinked temp file.  Each closed segment carries a SegmentHeader
- * (record/step counts, per-tid presence bitmap, first/last
- * instruction ids, byte length, flags) so replayers can skip or seek
- * without decoding.  Replay reads spilled segments through per-cursor
- * read-only mmap windows — one segment mapped at a time per replay —
- * so peak resident trace bytes are O(segment size × concurrent
- * replays), not O(trace size).  Segments are immutable after close:
- * any number of replays (different tools, different shards) may read
- * one capture concurrently.
+ * (record/step counts, per-tid presence bitmap, byte length, flags)
+ * that the persistence loaders validate against.  Replay reads
+ * spilled segments through per-cursor read-only mmap windows — one
+ * segment mapped at a time per replay — so peak resident trace bytes
+ * are O(segment size × concurrent replays), not O(trace size).
+ * Segments are immutable after close: any number of replays (one per
+ * tool configuration) may read one capture concurrently.  The stream
+ * is the capture's only encoding, and TraceReplayer::run() is the
+ * only replay loop over it.
  *
  * Encoding (varint/zigzag-delta, one record per fired event):
  *
@@ -198,17 +199,14 @@ class TraceBuffer
     std::size_t bytes_ = 0;
 };
 
-/** Per-segment index entry, filled during capture so replay can skip
- *  or seek without decoding the payload. */
+/** Per-segment index entry, filled during capture; persisted captures
+ *  are validated against it before any segment is adopted. */
 struct SegmentHeader
 {
     std::uint64_t records = 0;   ///< records of any kind
     std::uint64_t steps = 0;     ///< records carrying the step flag
     std::uint64_t tidBitmap = 0; ///< bit min(tid, 63) per present tid
-    InstrId firstInstr = kNoInstr; ///< first instr-event site (or kNoInstr)
-    InstrId lastInstr = kNoInstr;  ///< last instr-event site (or kNoInstr)
     std::uint64_t bytes = 0;     ///< encoded payload length
-    std::uint64_t leanEntries = 0; ///< sidecar LeanEvent count
     std::uint8_t flags = 0;
 
     /** Load/Store records carry a trailing value payload. */
@@ -216,37 +214,6 @@ struct SegmentHeader
     /** Segment lives in the spill file, not in RAM. */
     static constexpr std::uint8_t kFlagSpilled = 2;
 };
-
-/**
- * One pre-decoded sidecar entry for the lean worker decode of a
- * sharded replay.  The recorder appends these alongside the encoded
- * stream for exactly the event classes a race-detection worker
- * consumes — Load/Store accesses, Lock/Unlock, Spawn/Join, and
- * thread lifecycle — at the moment it already holds the decoded
- * fields, so capture cost is one 24-byte store per relevant event.
- * Worker shards then replay from this index in O(relevant events)
- * instead of decoding the full stream; value payloads are
- * deliberately omitted (no sync/race tool reads them — tools that do
- * attach to the full-fidelity primary shard).
- */
-struct LeanEvent
-{
-    InstrId instr = kNoInstr; ///< event site; kNoInstr for lifecycle
-    ObjectId obj = 0;         ///< access/lock object (else 0)
-    /** Access/lock offset; for ThreadStart, spawnSite + 1 (0 = none). */
-    std::uint32_t off = 0;
-    ThreadId tid = 0;
-    /** Spawn/Join: other tid; ThreadStart: parent tid. */
-    std::uint32_t aux = 0;
-    /** EventClass, or one of the lifecycle markers below. */
-    std::uint8_t cls = 0;
-    std::uint8_t pad_[3] = {0, 0, 0};
-
-    static constexpr std::uint8_t kThreadStartCls = 0xfe;
-    static constexpr std::uint8_t kThreadFinishCls = 0xff;
-};
-static_assert(sizeof(LeanEvent) == 24 && alignof(LeanEvent) == 4,
-              "LeanEvent layout is an on-disk format");
 
 /**
  * Unlinked on-disk overflow file shared by all spilled segments of
@@ -305,13 +272,6 @@ class SpillFile
 
     /** errno of the most recent failed write/create (0 = none). */
     int lastErrno() const { return lastErrno_; }
-
-    /** Append @p len raw bytes, first padding the file to an 8-byte
-     *  offset so mmap'd LeanEvent arrays land naturally aligned
-     *  (page-aligned mapping base + 8-aligned head slack).  Same
-     *  failure contract as the buffer overload. */
-    bool append(const void *data, std::size_t len,
-                std::uint64_t &offsetOut);
 
     /** Map @p length bytes at @p offset read-only.  Null on mmap
      *  failure. */
@@ -501,19 +461,6 @@ class TraceStore
         openHeader_.tidBitmap |= std::uint64_t{1} << (tid < 63 ? tid : 63);
     }
 
-    /** Account one instr-event site in the open segment's header. */
-    void
-    noteInstr(InstrId id)
-    {
-        if (openHeader_.firstInstr == kNoInstr)
-            openHeader_.firstInstr = id;
-        openHeader_.lastInstr = id;
-    }
-
-    /** Append one pre-decoded sidecar entry for the record just
-     *  encoded into the open segment (see LeanEvent). */
-    void noteLean(const LeanEvent &event) { openLean_.push_back(event); }
-
     /** Should the open segment close?  Checked at record boundaries
      *  only, so segments close between records, never inside one. */
     bool openOverThreshold() const
@@ -545,18 +492,6 @@ class TraceStore
      *  segments are mapped for the cursor's lifetime; in-RAM
      *  segments borrow the store's arena. */
     SegmentCursor cursor(std::size_t i) const;
-
-    /** Borrowed view over one segment's sidecar index (possibly
-     *  empty).  Spilled sidecars are mapped for the view's
-     *  lifetime. */
-    struct LeanIndexView
-    {
-        const LeanEvent *data = nullptr;
-        std::size_t count = 0;
-        std::shared_ptr<const SpillFile::Mapping> keepAlive;
-    };
-
-    LeanIndexView leanIndex(std::size_t i) const;
 
     /** Did any segment reach the overflow file? */
     bool spilled() const { return file_ != nullptr; }
@@ -590,14 +525,6 @@ class TraceStore
     std::size_t segmentBytesThreshold() const { return segmentBytes_; }
     bool capturesValues() const { return captureValues_; }
 
-    /** Sidecar-index bytes held in RAM (open segment + unspilled
-     *  closed segments); the stream-byte twin of residentBytes(). */
-    std::size_t
-    leanResidentBytes() const
-    {
-        return openLean_.size() * sizeof(LeanEvent) + leanResident_;
-    }
-
   private:
     friend bool persistTrace(const RecordedTrace &, const std::string &,
                              std::string *);
@@ -615,11 +542,21 @@ class TraceStore
          *  valid). */
         std::unique_ptr<TraceBuffer> buffer;
         std::uint64_t fileOffset = 0;
-        /** In-RAM sidecar; empty when spilled (then leanFileOffset
-         *  is valid) or when the segment has no relevant events. */
-        std::vector<LeanEvent> lean;
-        std::uint64_t leanFileOffset = 0;
     };
+
+    /** Write @p buffer to the overflow file (created on first use).
+     *  False when spilling is unavailable or the write fails; a
+     *  failure stops disk writes for the rest of this store. */
+    bool spillToFile(const TraceBuffer &buffer, std::uint64_t &offsetOut);
+
+    /** Append a closed segment holding @p buffer: spilled when
+     *  @p spill and the overflow file takes it, else kept in RAM
+     *  (counted as a RAM fallback when a spill was wanted). */
+    void addSegment(const SegmentHeader &header, TraceBuffer &&buffer,
+                    bool spill);
+
+    /** Close the open segment (no-op when empty) via addSegment. */
+    void sealOpenSegment(bool spill);
 
     /** Visit segment @p i's encoded payload bytes in stream order
      *  (serialization; maps spilled segments for the call).  False on
@@ -635,12 +572,10 @@ class TraceStore
     bool spillFailed_ = false; ///< warn once, then keep RAM fallback
     TraceBuffer open_;
     SegmentHeader openHeader_;
-    std::vector<LeanEvent> openLean_;
     std::vector<Segment> segments_;
     std::shared_ptr<SpillFile> file_;
     std::size_t totalBytes_ = 0;
     std::size_t residentClosed_ = 0;
-    std::size_t leanResident_ = 0;
     SpillStats spillStats_;
 };
 
@@ -689,7 +624,7 @@ class TraceRecorder
     /** Record one fired event.  @p ctx is consulted only when
      *  opHasPayload(ins.op) — it may be uninitialized otherwise. */
     void
-    recordEvent(EventClass cls, ThreadId tid, const ir::Instruction &ins,
+    recordEvent(ThreadId tid, const ir::Instruction &ins,
                 const EventCtx &ctx)
     {
         TraceBuffer &out = store_.open();
@@ -705,16 +640,12 @@ class TraceRecorder
             out.putVarint(ctx.off);
             if (store_.capturesValues())
                 encodeTraceValue(out, ctx.value);
-            store_.noteLean({id, ctx.obj, ctx.off, tid, 0,
-                             static_cast<std::uint8_t>(cls)});
             break;
           case ir::Opcode::Lock:
           case ir::Opcode::Unlock:
             out.putZigzag(std::int64_t{ctx.obj} - prevObj_);
             prevObj_ = ctx.obj;
             out.putVarint(ctx.off);
-            store_.noteLean({id, ctx.obj, ctx.off, tid, 0,
-                             static_cast<std::uint8_t>(cls)});
             break;
           case ir::Opcode::ICall:
             out.putVarint(ctx.calleeResolved);
@@ -722,8 +653,6 @@ class TraceRecorder
           case ir::Opcode::Spawn:
           case ir::Opcode::Join:
             out.putVarint(ctx.otherTid);
-            store_.noteLean({id, 0, 0, tid, ctx.otherTid,
-                             static_cast<std::uint8_t>(cls)});
             break;
           case ir::Opcode::Output:
             out.putZigzag(Interpreter::encodeValue(ctx.value));
@@ -731,7 +660,6 @@ class TraceRecorder
           default:
             break;
         }
-        store_.noteInstr(id);
         endRecord(tid, step);
     }
 
@@ -753,12 +681,6 @@ class TraceRecorder
         out.putVarint(parent);
         out.putVarint(spawnSite == kNoInstr ? 0
                                             : std::uint64_t{spawnSite} + 1);
-        store_.noteLean(
-            {kNoInstr, 0,
-             spawnSite == kNoInstr
-                 ? 0
-                 : static_cast<std::uint32_t>(spawnSite) + 1,
-             tid, parent, LeanEvent::kThreadStartCls});
         endRecord(tid, step);
     }
 
@@ -766,8 +688,6 @@ class TraceRecorder
     recordThreadFinish(ThreadId tid)
     {
         const bool step = putHeader(store_.open(), kThreadFinish, tid);
-        store_.noteLean(
-            {kNoInstr, 0, 0, tid, 0, LeanEvent::kThreadFinishCls});
         endRecord(tid, step);
     }
 
@@ -845,11 +765,11 @@ struct RecordedTrace
 
 /**
  * Persist a finished capture to @p path as a checksummed, atomically
- * published file (support::DurableWriter, kind Capture): segment
- * payloads and LeanEvent sidecars as raw blocks plus a meta block
- * carrying the SegmentHeader table and the RunResult.  False (with
- * @p errorOut and a warning) on any I/O failure — the previously
- * published file, if any, is untouched.
+ * published file (support::DurableWriter, kind Capture): one meta
+ * block carrying the SegmentHeader table and the RunResult, then one
+ * raw block per segment payload.  False (with @p errorOut and a
+ * warning) on any I/O failure — the previously published file, if
+ * any, is untouched.
  */
 bool persistTrace(const RecordedTrace &trace, const std::string &path,
                   std::string *errorOut = nullptr);
@@ -903,34 +823,6 @@ RecordedTrace recordRun(const ir::Module &module, const ExecConfig &config,
  * aborted run.  A full (un-aborted) replay reports the recorded run's
  * status — including Aborted/StepLimit when the *recording* itself
  * was truncated.
- *
- * Sharded replay: setShardFilter(s, n) makes this replayer deliver
- * Load/Store events only for objects owned by shard s of n
- * (ownership = object id mod n); all other event classes — sync,
- * spawn/join, thread lifecycle, call/ret, block enters — are
- * delivered to every shard, so per-shard tools observe identical
- * thread/lock state and each memory location is analyzed by exactly
- * one shard.
- *
- * Shard 0 is the primary: its run() is a full replay (complete
- * RunResult — totalEvents, outputs, frame ids in every EventCtx)
- * with only the Load/Store filter applied.  Shards > 0 replay from
- * the per-segment LeanEvent sidecar index the recorder captured
- * alongside the stream: a worker never touches the encoded bytes at
- * all, it walks an array of pre-decoded access/sync events and
- * filters to its partition, so its cost is O(relevant events) rather
- * than O(stream bytes) and the marginal cost of an extra shard is
- * far below a full replay.  Lean results carry steps, numThreads,
- * status and `delivered` (owned deliveries only — per-shard
- * delivered Load/Store counts still sum to the serial run's); their
- * totalEvents/outputs are empty, delivered EventCtx frame fields are
- * zero, and Load/Store values are empty even for value-capturing
- * traces — none of which FastTrack-style tools read.  Worker-shard
- * plans must cover only sidecar classes (Load/Store, Lock/Unlock,
- * Spawn/Join); tools needing calls, rets, blocks, outputs or values
- * attach to the primary.  Consumers wanting the stream-level result
- * read it from shard 0 (core::replayFastTrackSharded does exactly
- * that).
  */
 class TraceReplayer : public ExecutionControl
 {
@@ -949,20 +841,7 @@ class TraceReplayer : public ExecutionControl
         attachments_.push_back({tool, plan});
     }
 
-    /** Deliver Load/Store only for objects with
-     *  obj % numShards == shard (no-op when numShards <= 1). */
-    void
-    setShardFilter(std::uint32_t shard, std::uint32_t numShards)
-    {
-        OHA_ASSERT(numShards >= 1 && shard < numShards);
-        shard_ = shard;
-        numShards_ = numShards;
-        // Power-of-two shard counts take the mask fast path.
-        shardMask_ = (numShards & (numShards - 1)) == 0 ? numShards - 1 : 0;
-    }
-
-    /** Replay the recorded stream through the attached tools.
-     *  Dispatches to the lean worker decode for shards > 0. */
+    /** Replay the recorded stream through the attached tools. */
     RunResult run();
 
     void requestAbort(std::string reason) override;
@@ -976,23 +855,9 @@ class TraceReplayer : public ExecutionControl
         const InstrumentationPlan *plan;
     };
 
-    bool
-    ownsObject(ObjectId obj) const
-    {
-        return shardMask_ ? (obj & shardMask_) == shard_
-                          : obj % numShards_ == shard_;
-    }
-
-    /** Lean decode for non-primary shards (see class comment). */
-    RunResult runLeanShard();
-
     const ir::Module &module_;
     const RecordedTrace &trace_;
     std::vector<Attachment> attachments_;
-
-    std::uint32_t shard_ = 0;
-    std::uint32_t numShards_ = 1;
-    std::uint32_t shardMask_ = 0;
 
     bool abortRequested_ = false;
     std::string abortReason_;

@@ -27,8 +27,11 @@
  * results bit-identical to a fresh computation (stored workUnits are
  * the one real computation's deterministic cost).  Therefore a
  * request's result is byte-identical to a direct batch-mode call —
- * at ANY shard count, on any cache state, in any arrival order.  The
- * service-vs-batch parity test pins this.
+ * at ANY shard count, on any cache state, in any arrival order — with
+ * one exception: when a lineage patch computed the static phase, the
+ * modeled static-cost fields price the incremental effort (listed in
+ * docs/SERVICE.md, "Determinism contract").  The service-vs-batch
+ * parity tests pin both halves.
  */
 
 #pragma once

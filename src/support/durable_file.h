@@ -32,8 +32,8 @@
  * never served.
  *
  * Block payload offsets are 8-aligned by construction (32-byte
- * header, 16-byte block headers, padded payloads), so an mmap of a
- * block lands a naturally-aligned LeanEvent array.
+ * header, 16-byte block headers, padded payloads), so a block
+ * mapped in place is aligned for any fixed-width record.
  *
  * I/O fault injection: every syscall these writers (and
  * exec::SpillFile) issue goes through the armable wrappers below, so

@@ -3,7 +3,8 @@
  * Analysis-daemon tests: bounded-queue admission semantics, deadline
  * expiry, graceful drain/shutdown, and the determinism contract —
  * service results are field-identical to batch-mode pipeline calls at
- * any shard count, on any cache state.
+ * any shard count, on any cache state, except for the modeled
+ * static-cost fields of a lineage-patched result.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include "core/optslice.h"
 #include "service/analysis_service.h"
 #include "service/request_queue.h"
+#include "workloads/edits.h"
 #include "workloads/workloads.h"
 
 namespace oha {
@@ -215,14 +217,23 @@ expectEqual(const core::RunCost &a, const core::RunCost &b,
     EXPECT_EQ(a.rollback, b.rollback) << label;
 }
 
+/** Field-for-field comparison.  With @p modeledStatic false, the
+ *  modeled static-cost fields — the ones a lineage patch prices from
+ *  incremental work units (docs/SERVICE.md) — are left out. */
 void
 expectEqual(const core::OptFtResult &a, const core::OptFtResult &b,
-            const std::string &label)
+            const std::string &label, bool modeledStatic = true)
 {
     EXPECT_EQ(a.name, b.name) << label;
     EXPECT_EQ(a.staticallyRaceFree, b.staticallyRaceFree) << label;
-    EXPECT_EQ(a.soundStaticSeconds, b.soundStaticSeconds) << label;
-    EXPECT_EQ(a.predStaticSeconds, b.predStaticSeconds) << label;
+    if (modeledStatic) {
+        EXPECT_EQ(a.soundStaticSeconds, b.soundStaticSeconds) << label;
+        EXPECT_EQ(a.predStaticSeconds, b.predStaticSeconds) << label;
+        EXPECT_EQ(a.repredStaticSeconds, b.repredStaticSeconds) << label;
+        EXPECT_EQ(a.breakEvenVsHybrid, b.breakEvenVsHybrid) << label;
+        EXPECT_EQ(a.breakEvenVsFastTrack, b.breakEvenVsFastTrack)
+            << label;
+    }
     EXPECT_EQ(a.profileSeconds, b.profileSeconds) << label;
     EXPECT_EQ(a.profileRunsUsed, b.profileRunsUsed) << label;
     EXPECT_EQ(a.testRuns, b.testRuns) << label;
@@ -238,22 +249,40 @@ expectEqual(const core::OptFtResult &a, const core::OptFtResult &b,
     EXPECT_EQ(a.elidedLockSites, b.elidedLockSites) << label;
     EXPECT_EQ(a.speedupVsFastTrack, b.speedupVsFastTrack) << label;
     EXPECT_EQ(a.speedupVsHybrid, b.speedupVsHybrid) << label;
-    EXPECT_EQ(a.breakEvenVsHybrid, b.breakEvenVsHybrid) << label;
-    EXPECT_EQ(a.breakEvenVsFastTrack, b.breakEvenVsFastTrack) << label;
     EXPECT_EQ(a.interpretedSteps, b.interpretedSteps) << label;
     EXPECT_EQ(a.replayedEvents, b.replayedEvents) << label;
     EXPECT_EQ(a.recordSeconds, b.recordSeconds) << label;
     EXPECT_EQ(a.replayRollbackSeconds, b.replayRollbackSeconds) << label;
     EXPECT_EQ(a.repredications, b.repredications) << label;
-    EXPECT_EQ(a.repredStaticSeconds, b.repredStaticSeconds) << label;
     EXPECT_EQ(a.circuitBroken, b.circuitBroken) << label;
+    EXPECT_EQ(a.demotions, b.demotions) << label;
+}
+
+void
+expectEqual(const core::AnalysisPick &a, const core::AnalysisPick &b,
+            const std::string &label, bool modeledStatic)
+{
+    EXPECT_EQ(a.contextSensitive, b.contextSensitive) << label;
+    if (modeledStatic) {
+        EXPECT_EQ(a.seconds, b.seconds) << label;
+    }
 }
 
 void
 expectEqual(const core::OptSliceResult &a, const core::OptSliceResult &b,
-            const std::string &label)
+            const std::string &label, bool modeledStatic = true)
 {
     EXPECT_EQ(a.name, b.name) << label;
+    expectEqual(a.soundPts, b.soundPts, label + " soundPts", modeledStatic);
+    expectEqual(a.soundSlice, b.soundSlice, label + " soundSlice",
+                modeledStatic);
+    expectEqual(a.optPts, b.optPts, label + " optPts", modeledStatic);
+    expectEqual(a.optSlice, b.optSlice, label + " optSlice",
+                modeledStatic);
+    if (modeledStatic) {
+        EXPECT_EQ(a.breakEven, b.breakEven) << label;
+        EXPECT_EQ(a.repredStaticSeconds, b.repredStaticSeconds) << label;
+    }
     EXPECT_EQ(a.profileSeconds, b.profileSeconds) << label;
     EXPECT_EQ(a.profileRunsUsed, b.profileRunsUsed) << label;
     EXPECT_EQ(a.endpoints, b.endpoints) << label;
@@ -268,13 +297,13 @@ expectEqual(const core::OptSliceResult &a, const core::OptSliceResult &b,
     EXPECT_EQ(a.soundAliasRate, b.soundAliasRate) << label;
     EXPECT_EQ(a.optAliasRate, b.optAliasRate) << label;
     EXPECT_EQ(a.dynSpeedup, b.dynSpeedup) << label;
-    EXPECT_EQ(a.breakEven, b.breakEven) << label;
     EXPECT_EQ(a.interpretedSteps, b.interpretedSteps) << label;
     EXPECT_EQ(a.replayedEvents, b.replayedEvents) << label;
     EXPECT_EQ(a.recordSeconds, b.recordSeconds) << label;
     EXPECT_EQ(a.replayRollbackSeconds, b.replayRollbackSeconds) << label;
     EXPECT_EQ(a.repredications, b.repredications) << label;
     EXPECT_EQ(a.circuitBroken, b.circuitBroken) << label;
+    EXPECT_EQ(a.demotions, b.demotions) << label;
 }
 
 // Every cached intermediate (static results, trace captures,
@@ -343,6 +372,74 @@ TEST(AnalysisService, ResultsMatchBatchModeAtOneAndFourShards)
             expectEqual(batchSlice, *result.slice, label);
         }
     }
+}
+
+/** @p workload over a module whose first non-entry function without
+ *  Spawn/Join gained a pointer-relevant prologue — an edit the
+ *  lineage guards accept, so the static phase is patched. */
+workloads::Workload
+editedWorkload(const workloads::Workload &workload)
+{
+    const ir::Module &module = *workload.module;
+    std::vector<char> hasThreadOp(module.numFunctions(), 0);
+    for (InstrId id = 0; id < module.numInstrs(); ++id) {
+        const ir::Instruction &ins = module.instr(id);
+        if (ins.op == ir::Opcode::Spawn || ins.op == ir::Opcode::Join)
+            hasThreadOp[ins.func] = 1;
+    }
+    std::vector<std::string> names;
+    for (const auto &func : module.functions()) {
+        if (func->name() != "main" && !hasThreadOp[func->id()]) {
+            names.push_back(func->name());
+            break;
+        }
+    }
+    EXPECT_FALSE(names.empty()) << workload.name;
+    workloads::Workload edited = workload;
+    edited.module = workloads::editFunctions(module, names);
+    return edited;
+}
+
+TEST(AnalysisService, LineagePatchChangesOnlyModeledStaticCost)
+{
+    const auto race = workloads::makeRaceWorkload("sunflow", 4, 3);
+    const auto slice = workloads::makeSliceWorkload("zlib", 4, 2);
+    const auto editedRace = editedWorkload(race);
+    const auto editedSlice = editedWorkload(slice);
+
+    // Batch references for the edited modules, each on a cold cache
+    // so no lineage ancestor exists.
+    analysis::resetAndersenCache();
+    const auto batchFt = core::runOptFt(editedRace, {});
+    analysis::resetAndersenCache();
+    const auto batchSlice = core::runOptSlice(editedSlice, {});
+    analysis::resetAndersenCache();
+
+    service::ServiceConfig config;
+    config.shards = 2;
+    service::AnalysisService daemon(config);
+    const auto submitBoth = [&](const workloads::Workload &ft,
+                                const workloads::Workload &sliced) {
+        auto ftFuture = daemon.submit(raceRequest(ft));
+        service::AnalysisRequest request;
+        request.workload = sliced;
+        auto sliceFuture = daemon.submit(std::move(request));
+        daemon.drain();
+        return std::make_pair(ftFuture.get(), sliceFuture.get());
+    };
+    // The unedited versions become the lineage ancestors.
+    submitBoth(race, slice);
+    const std::uint64_t before = analysis::andersenCacheStats().lineageHits;
+    const auto [ft, sliced] = submitBoth(editedRace, editedSlice);
+    EXPECT_GT(analysis::andersenCacheStats().lineageHits, before)
+        << "no lineage patch engaged; the exception is untested";
+
+    ASSERT_EQ(ft.outcome, service::RequestOutcome::Done);
+    ASSERT_TRUE(ft.ft.has_value());
+    expectEqual(batchFt, *ft.ft, "patched optft", false);
+    ASSERT_EQ(sliced.outcome, service::RequestOutcome::Done);
+    ASSERT_TRUE(sliced.slice.has_value());
+    expectEqual(batchSlice, *sliced.slice, "patched optslice", false);
 }
 
 } // namespace

@@ -32,6 +32,7 @@
 #include "core/optft.h"
 #include "core/optslice.h"
 #include "dyn/fault_injector.h"
+#include "exec/trace_cache.h"
 #include "service/analysis_service.h"
 #include "service/shared_cache.h"
 #include "service/snapshot.h"
@@ -393,6 +394,62 @@ TEST_F(SnapshotTest, BogusEntryTagRejectedIndividually)
     EXPECT_EQ(after.loads, before.loads + 1);
     EXPECT_EQ(after.entriesRejected, before.entriesRejected + 1);
     EXPECT_EQ(after.entriesRestored, before.entriesRestored);
+}
+
+TEST_F(SnapshotTest, OldFormatTraceEntryRejectedAndRecomputed)
+{
+    // A trace entry whose embedded capture meta says version 1 (the
+    // format with per-segment sidecar arrays) is rejected on its own;
+    // every other entry restores, and the pipelines re-record the
+    // missing capture with identical results.
+    const PipelineResults cold = runPipelines();
+    const std::size_t traces = exec::exportTraceSection().size();
+    std::string error;
+    ASSERT_TRUE(service::writeSnapshot(snapshotPath(), &error)) << error;
+
+    const std::string path = dir_ + "/old-trace.snapshot";
+    std::size_t entries = 0;
+    {
+        const auto reader = support::DurableReader::open(
+            snapshotPath(), support::kDurableKindSnapshot, &error);
+        ASSERT_TRUE(reader) << error;
+        support::DurableWriter writer(path, support::kDurableKindSnapshot);
+        bool patched = false;
+        for (std::size_t i = 0; i < reader->numBlocks(); ++i) {
+            std::string block;
+            ASSERT_TRUE(reader->readBlock(i, block));
+            // Trace entry: tag 1, two 16-byte fingerprints, then the
+            // capture meta, which opens with its u32 version.
+            constexpr std::size_t kMetaAt = 1 + 16 + 16;
+            if (i > 0 && !patched && block[0] == 1) {
+                ASSERT_GT(block.size(), kMetaAt + 4);
+                block.replace(kMetaAt, 4, std::string("\x01\0\0\0", 4));
+                patched = true;
+            }
+            writer.addBlock(block);
+        }
+        ASSERT_TRUE(patched) << "snapshot holds no trace entry";
+        entries = reader->numBlocks() - 1;
+        ASSERT_TRUE(writer.commit(&error)) << error;
+    }
+
+    coldReset();
+    const auto before = service::snapshotStats();
+    ASSERT_TRUE(service::loadSnapshot(path, &error)) << error;
+    const auto after = service::snapshotStats();
+    EXPECT_EQ(after.loadRejects, before.loadRejects);
+    EXPECT_EQ(after.entriesRejected, before.entriesRejected + 1);
+    EXPECT_EQ(after.entriesRestored, before.entriesRestored + entries - 1);
+    EXPECT_EQ(exec::exportTraceSection().size(), traces - 1);
+
+    const auto statsBefore = service::SharedCache::instance().stats();
+    const PipelineResults warm = runPipelines();
+    const auto statsAfter = service::SharedCache::instance().stats();
+    expectEqual(cold.ft, warm.ft, "old trace entry optft");
+    expectEqual(cold.slice, warm.slice, "old trace entry optslice");
+    EXPECT_GT(statsAfter.hits, statsBefore.hits);
+    // The rejected capture was recorded again.
+    EXPECT_EQ(exec::exportTraceSection().size(), traces);
 }
 
 TEST_F(SnapshotTest, EntryCountMismatchRejectsWholesale)

@@ -199,8 +199,8 @@ TEST_F(TracePersistTest, PersistReloadReplaysExactly)
 
 TEST_F(TracePersistTest, RamOnlyCaptureRoundTrips)
 {
-    // No segment threshold: single in-RAM segment, no sidecars on
-    // disk — the other shape of the block layout.
+    // No segment threshold: single in-RAM segment, nothing spilled
+    // at record time — the other shape of the block layout.
     const auto workload = workloads::makeRaceWorkload("raytracer", 1, 1);
     const exec::RecordedTrace trace =
         exec::recordRun(*workload.module, workload.testingSet.front());
@@ -236,6 +236,58 @@ TEST_F(TracePersistTest, SerializedBlobRoundTripsWithRespill)
     EXPECT_GT(restored->events.spillStats().spilledSegments, 0u);
     expectEqual(live, replaySnapshot(*workload.module, *restored),
                 "blob round trip");
+}
+
+/** Overwrite the version word (the leading u32, little-endian) of a
+ *  serialized capture meta encoding. */
+void
+setMetaVersion(std::string &meta, std::uint32_t version)
+{
+    ASSERT_GE(meta.size(), 4u);
+    for (unsigned i = 0; i < 4; ++i)
+        meta[i] = static_cast<char>((version >> (8 * i)) & 0xff);
+}
+
+TEST_F(TracePersistTest, OldFormatCaptureIsRejected)
+{
+    // Version 1 captures carried a per-segment sidecar block; a valid
+    // container whose meta says version 1 must be rejected, never
+    // read with the current layout.
+    const auto workload = workloads::makeRaceWorkload("raytracer", 1, 1);
+    const exec::RecordedTrace trace = recordSpilled(workload, false);
+    const std::string current = path("current.capture");
+    std::string error;
+    ASSERT_TRUE(exec::persistTrace(trace, current, &error)) << error;
+    ASSERT_TRUE(exec::loadTrace(current));
+
+    // Re-emit every block of the valid capture, meta version set to 1.
+    const std::string old = path("v1.capture");
+    {
+        const auto reader = support::DurableReader::open(
+            current, support::kDurableKindCapture, &error);
+        ASSERT_TRUE(reader) << error;
+        support::DurableWriter writer(old, support::kDurableKindCapture);
+        for (std::size_t i = 0; i < reader->numBlocks(); ++i) {
+            std::string block;
+            ASSERT_TRUE(reader->readBlock(i, block));
+            if (i == 0)
+                setMetaVersion(block, 1);
+            writer.addBlock(block);
+        }
+        ASSERT_TRUE(writer.commit(&error)) << error;
+    }
+    error.clear();
+    EXPECT_FALSE(exec::loadTrace(old, &error));
+    EXPECT_NE(error.find("corrupt meta block"), std::string::npos)
+        << error;
+
+    // Same for the blob form embedded in cache snapshots.
+    support::ByteWriter out;
+    ASSERT_TRUE(exec::serializeRecordedTrace(trace, out));
+    std::string blob = out.take();
+    setMetaVersion(blob, 1);
+    support::ByteReader in(blob);
+    EXPECT_FALSE(exec::deserializeRecordedTrace(in));
 }
 
 TEST_F(TracePersistTest, PersistFaultSweepFailsGracefully)
@@ -282,8 +334,7 @@ TEST_F(TracePersistTest, PersistFaultSweepFailsGracefully)
 TEST_F(TracePersistTest, CorruptionSweepRejectsOrReplaysIdentically)
 {
     // A small single-segment capture keeps the byte-exhaustive sweep
-    // cheap while still covering header, meta, payload and sidecar
-    // offsets.
+    // cheap while still covering header, meta and payload offsets.
     const auto workload = workloads::makeRaceWorkload("raytracer", 1, 1);
     const exec::RecordedTrace trace =
         exec::recordRun(*workload.module, workload.testingSet.front());

@@ -17,7 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <set>
 #include <string>
 #include <utility>
@@ -514,135 +513,6 @@ TEST(PipelineParity, OptSliceReplayMatchesDirectAt1And4Threads)
                 << label;
         }
     }
-}
-
-/** Deterministic byte serialization of a race-report set: the
- *  "byte-identical" in the sharded-merge contract is literal. */
-std::vector<std::uint8_t>
-raceBytes(const std::set<dyn::RaceReport> &races)
-{
-    std::vector<std::uint8_t> bytes;
-    const auto put64 = [&bytes](std::uint64_t value) {
-        for (int i = 0; i < 8; ++i)
-            bytes.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
-    };
-    for (const dyn::RaceReport &race : races) {
-        put64(race.first);
-        put64(race.second);
-        put64(race.obj);
-        put64(race.off);
-    }
-    return bytes;
-}
-
-TEST(ShardedReplayParity, MergedShardRacesByteIdenticalToSerial)
-{
-    // Every (obj, off) cell is owned by exactly one shard and sync
-    // operations broadcast to all shards, so the merged per-shard race
-    // sets must serialize to exactly the serial replay's bytes — for
-    // power-of-two and non-power-of-two shard counts alike.
-    std::size_t racyCaptures = 0;
-    for (const auto &name : workloads::raceWorkloadNames()) {
-        const auto workload = workloads::makeRaceWorkload(name, 2, 3);
-        const ir::Module &module = *workload.module;
-        const auto plan = dyn::fullFastTrackPlan(module);
-        for (const exec::ExecConfig &config : workload.testingSet) {
-            const exec::RecordedTrace trace =
-                exec::recordRun(module, config);
-
-            dyn::FastTrack serialTool;
-            exec::TraceReplayer serialReplay(module, trace);
-            serialReplay.attach(&serialTool, &plan);
-            const exec::RunResult serialResult = serialReplay.run();
-            racyCaptures += !serialTool.races().empty();
-
-            for (const std::uint32_t shards : {2u, 3u, 4u}) {
-                const std::string label = name + " x" +
-                                          std::to_string(shards);
-                std::vector<std::set<dyn::RaceReport>> shardRaces;
-                std::uint64_t loads = 0;
-                std::uint64_t stores = 0;
-                for (std::uint32_t s = 0; s < shards; ++s) {
-                    dyn::FastTrack tool;
-                    tool.setShardFilter(s, shards);
-                    exec::TraceReplayer replayer(module, trace);
-                    replayer.setShardFilter(s, shards);
-                    replayer.attach(&tool, &plan);
-                    const exec::RunResult result = replayer.run();
-                    shardRaces.push_back(tool.races());
-                    loads += result.delivered[0][exec::EventClass::Load];
-                    stores +=
-                        result.delivered[0][exec::EventClass::Store];
-                    // Every shard walks the full stream, so steps and
-                    // thread counts are shard-invariant; the complete
-                    // stream-level result (outputs, totalEvents) is
-                    // the primary shard's contract only — workers run
-                    // the lean decode.
-                    EXPECT_EQ(result.steps, serialResult.steps) << label;
-                    EXPECT_EQ(result.numThreads, serialResult.numThreads)
-                        << label;
-                    if (s == 0) {
-                        EXPECT_EQ(result.outputs, serialResult.outputs)
-                            << label;
-                        EXPECT_EQ(eventVec(result.totalEvents),
-                                  eventVec(serialResult.totalEvents))
-                            << label;
-                    }
-                }
-                const std::set<dyn::RaceReport> merged =
-                    dyn::mergeShardRaces(shardRaces);
-                EXPECT_EQ(raceBytes(merged), raceBytes(serialTool.races()))
-                    << label;
-                // Delivered accesses partition exactly across shards.
-                EXPECT_EQ(loads,
-                          serialResult.delivered[0][exec::EventClass::Load])
-                    << label;
-                EXPECT_EQ(stores,
-                          serialResult.delivered[0][exec::EventClass::Store])
-                    << label;
-            }
-        }
-    }
-    EXPECT_GT(racyCaptures, 0u)
-        << "no capture raced; the merge check is vacuous";
-}
-
-TEST(ShardedPipeline, OptFtResultsInvariantUnderReplayShards)
-{
-    // Sharding is a throughput knob, never a semantics knob: the whole
-    // OptFT result must be field-identical at any shard count, whether
-    // configured programmatically or via OHA_REPLAY_SHARDS.
-    const auto workload = workloads::makeRaceWorkload("raytracer", 8, 4);
-    core::OptFtConfig base;
-    base.useTraceReplay = true;
-    base.threads = 1;
-    const auto reference = core::runOptFt(workload, base);
-    for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
-        core::OptFtConfig sharded = base;
-        sharded.replayShards = shards;
-        const auto result = core::runOptFt(workload, sharded);
-        expectEqual(reference, result,
-                    "replayShards=" + std::to_string(shards));
-    }
-    ASSERT_EQ(setenv("OHA_REPLAY_SHARDS", "3", 1), 0);
-    const auto viaEnv = core::runOptFt(workload, base);
-    unsetenv("OHA_REPLAY_SHARDS");
-    expectEqual(reference, viaEnv, "OHA_REPLAY_SHARDS=3");
-}
-
-TEST(ShardedPipeline, OptSliceResultsInvariantUnderReplayShards)
-{
-    // Axis (a): OptSlice replayShards widens the reference replay
-    // batch (index-merged), so results are identical at any width.
-    const auto workload = workloads::makeSliceWorkload("zlib", 4, 6);
-    core::OptSliceConfig base;
-    base.useTraceReplay = true;
-    base.threads = 1;
-    const auto reference = core::runOptSlice(workload, base);
-    core::OptSliceConfig sharded = base;
-    sharded.replayShards = 4;
-    const auto result = core::runOptSlice(workload, sharded);
-    expectEqual(reference, result, "optslice replayShards=4");
 }
 
 } // namespace

@@ -147,10 +147,6 @@ TEST(SegmentedCapture, SpillsAndIndexesSegments)
         // Segments close at the first record boundary past the
         // threshold, so they overshoot by at most one record.
         EXPECT_LE(header.bytes, kTinySegment + 256) << "segment " << i;
-        if (header.firstInstr != kNoInstr) {
-            EXPECT_LT(header.firstInstr, module.numInstrs());
-            EXPECT_LT(header.lastInstr, module.numInstrs());
-        }
         bytes += header.bytes;
         steps += header.steps;
         records += header.records;
@@ -366,38 +362,41 @@ TEST(SegmentedCapture, ReplayMappedBytesBoundedBySegmentTimesShards)
     const std::size_t perReplayBound = kTinySegment + 256 + 4096;
 
     exec::testing::resetMappedTraceBytesPeak();
+    std::set<std::pair<InstrId, InstrId>> serialRaces;
     {
         dyn::FastTrack tool;
         exec::TraceReplayer replayer(module, trace);
         replayer.attach(&tool, &plan);
         replayer.run();
+        serialRaces = tool.racePairs();
     }
     const std::size_t serialPeak = exec::testing::mappedTraceBytesPeak();
     EXPECT_GT(serialPeak, 0u);
     EXPECT_LE(serialPeak, perReplayBound);
 
-    // Four concurrent sharded replays of the same capture: the bound
-    // scales with the replay count, never with the trace size.
-    constexpr std::uint32_t kShards = 4;
+    // Four concurrent full replays of the same capture: the bound
+    // scales with the replay count, never with the trace size, and
+    // every replay reports the serial race set.
+    constexpr std::size_t kReplays = 4;
     exec::testing::resetMappedTraceBytesPeak();
-    support::runBatch(
-        kShards,
-        [&](std::size_t s) {
+    const auto races = support::runBatch(
+        kReplays,
+        [&](std::size_t) {
             dyn::FastTrack tool;
-            tool.setShardFilter(static_cast<std::uint32_t>(s), kShards);
             exec::TraceReplayer replayer(module, trace);
-            replayer.setShardFilter(static_cast<std::uint32_t>(s),
-                                    kShards);
             replayer.attach(&tool, &plan);
             replayer.run();
-            return s;
+            return tool.racePairs();
         },
-        kShards);
-    const std::size_t shardedPeak = exec::testing::mappedTraceBytesPeak();
-    EXPECT_GT(shardedPeak, 0u);
-    EXPECT_LE(shardedPeak, kShards * perReplayBound);
-    EXPECT_LT(kShards * perReplayBound, trace.events.sizeBytes())
+        kReplays);
+    const std::size_t concurrentPeak =
+        exec::testing::mappedTraceBytesPeak();
+    EXPECT_GT(concurrentPeak, 0u);
+    EXPECT_LE(concurrentPeak, kReplays * perReplayBound);
+    EXPECT_LT(kReplays * perReplayBound, trace.events.sizeBytes())
         << "trace too small for the bound to be meaningful";
+    for (const auto &replayRaces : races)
+        EXPECT_EQ(replayRaces, serialRaces);
     EXPECT_EQ(exec::testing::mappedTraceBytesNow(), 0u);
 }
 
