@@ -9,6 +9,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -98,10 +99,59 @@ nowMs()
         .count();
 }
 
+/** Wall-time spread of one deterministic measurement over N reps. */
+struct Sample
+{
+    double medianMs = 0;
+    double p90Ms = 0;
+    /** What the measured run reported: delivered events, solver work
+     *  units, interpreted steps... (identical across reps). */
+    std::uint64_t events = 0;
+
+    double
+    eventsPerSec() const
+    {
+        return medianMs > 0 ? double(events) / (medianMs / 1000.0) : 0;
+    }
+};
+
+/** The @p q quantile of the sorted @p values, linearly interpolated
+ *  between closest ranks. */
+inline double
+quantileOfSorted(const std::vector<double> &values, double q)
+{
+    if (values.empty())
+        return 0;
+    const double pos = q * double(values.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, values.size() - 1);
+    return values[lo] + (pos - double(lo)) * (values[hi] - values[lo]);
+}
+
+/** Run @p runOnce (which returns its event count) @p reps times and
+ *  report the median and p90 wall time. */
+template <typename RunOnce>
+Sample
+measure(int reps, RunOnce runOnce)
+{
+    Sample sample;
+    std::vector<double> ms;
+    for (int rep = 0; rep < reps; ++rep) {
+        const double t0 = nowMs();
+        sample.events = runOnce();
+        ms.push_back(nowMs() - t0);
+    }
+    std::sort(ms.begin(), ms.end());
+    sample.medianMs = quantileOfSorted(ms, 0.5);
+    sample.p90Ms = quantileOfSorted(ms, 0.9);
+    return sample;
+}
+
 /**
  * Machine-readable sink for benchmark records.  Every harness creates
  * one with its figure name and calls add() per (workload, variant)
- * wall-clock measurement; write() emits `BENCH_<figure>.json` in the
+ * wall-clock measurement — a Sample records its median as wall_ms
+ * plus its p90 — and write() emits `BENCH_<figure>.json` in the
  * working directory so the perf trajectory can be tracked across PRs
  * without scraping the human-readable tables.  `events` is the number
  * of delivered events when the harness tracks them, 0 otherwise.
@@ -117,7 +167,15 @@ class JsonReport
     add(const std::string &workload, const std::string &variant,
         double wallMs, std::uint64_t events = 0)
     {
-        records_.push_back({workload, variant, wallMs, events, "", 0});
+        records_.push_back({workload, variant, wallMs, -1, events, "", 0});
+    }
+
+    void
+    add(const std::string &workload, const std::string &variant,
+        const Sample &sample)
+    {
+        records_.push_back({workload, variant, sample.medianMs,
+                            sample.p90Ms, sample.events, "", 0});
     }
 
     /** Record a named scalar (slice size, alias rate, break-even
@@ -127,7 +185,7 @@ class JsonReport
     metric(const std::string &workload, const std::string &variant,
            const std::string &name, double value)
     {
-        records_.push_back({workload, variant, 0, 0, name, value});
+        records_.push_back({workload, variant, 0, -1, 0, name, value});
     }
 
     /** Write BENCH_<figure>.json atomically (temp + fsync + rename —
@@ -164,12 +222,16 @@ class JsonReport
             }
             const double perSec =
                 r.wallMs > 0 ? double(r.events) / (r.wallMs / 1000.0) : 0;
+            char p90[48] = "";
+            if (r.p90Ms >= 0)
+                std::snprintf(p90, sizeof(p90), "\"p90_ms\": %.3f, ",
+                              r.p90Ms);
             std::snprintf(
                 line, sizeof(line),
                 "    {\"workload\": \"%s\", \"variant\": \"%s\", "
-                "\"wall_ms\": %.3f, \"events\": %llu, "
+                "\"wall_ms\": %.3f, %s\"events\": %llu, "
                 "\"events_per_sec\": %.0f}%s\n",
-                r.workload.c_str(), r.variant.c_str(), r.wallMs,
+                r.workload.c_str(), r.variant.c_str(), r.wallMs, p90,
                 static_cast<unsigned long long>(r.events), perSec, tail);
             json += line;
         }
@@ -190,7 +252,8 @@ class JsonReport
     {
         std::string workload;
         std::string variant;
-        double wallMs;
+        double wallMs; ///< the median, for Sample records
+        double p90Ms;  ///< negative when not measured
         std::uint64_t events;
         std::string metricName; ///< empty for throughput records
         double metricValue;

@@ -58,29 +58,6 @@ smokeMode()
     return env && *env && *env != '0';
 }
 
-struct Sample
-{
-    double bestMs = 0;
-    std::uint64_t events = 0; ///< solver work units
-};
-
-template <typename RunOnce>
-Sample
-measure(RunOnce runOnce)
-{
-    const int reps = smokeMode() ? 2 : 7;
-    Sample sample;
-    for (int rep = 0; rep < reps; ++rep) {
-        const double t0 = bench::nowMs();
-        const std::uint64_t events = runOnce();
-        const double ms = bench::nowMs() - t0;
-        if (rep == 0 || ms < sample.bestMs)
-            sample.bestMs = ms;
-        sample.events = events;
-    }
-    return sample;
-}
-
 /** Observable identity of a solve over @p module: flattened
  *  points-to sets, indirect-call targets, and the static slice of
  *  every Output endpoint.  workUnits deliberately excluded. */
@@ -153,6 +130,7 @@ main()
         "across edits; re-analysis cost must track edit size, not "
         "module size");
 
+    const int kReps = smokeMode() ? 2 : 7;
     bench::JsonReport json("microbench_incremental");
     TextTable table({"workload", "edit", "variant", "wall ms",
                      "work units", "speedup"});
@@ -195,26 +173,26 @@ main()
             if (signatureOf(*next, once) != signatureOf(*next, scratch))
                 return parityFailure(name + " " + label);
 
-            const Sample full = measure([&] {
+            const bench::Sample full = bench::measure(kReps, [&] {
                 return analysis::runAndersen(*next, {}).workUnits;
             });
-            const Sample patched = measure([&] {
+            const bench::Sample patched = bench::measure(kReps, [&] {
                 return patchedSolve(base, baseResult, *next).workUnits;
             });
-            const double speedup = patched.bestMs > 0
-                                       ? full.bestMs / patched.bestMs
+            const double speedup = patched.medianMs > 0
+                                       ? full.medianMs / patched.medianMs
                                        : 0;
             table.addRow({name, label, "full",
-                          fmtDouble(full.bestMs, 3),
+                          fmtDouble(full.medianMs, 3),
                           std::to_string(full.events), ""});
             table.addRow({name, label, "patched",
-                          fmtDouble(patched.bestMs, 3),
+                          fmtDouble(patched.medianMs, 3),
                           std::to_string(patched.events),
                           fmtDouble(speedup, 2) + "x"});
-            json.add(name, std::string("full-") + label, full.bestMs,
+            json.add(name, std::string("full-") + label, full.medianMs,
                      full.events);
             json.add(name, std::string("patched-") + label,
-                     patched.bestMs, patched.events);
+                     patched.medianMs, patched.events);
             json.metric(name, label, "speedup", speedup);
             if (frac == 0.01 && name == kBarWorkload)
                 speedupAt1 = speedup;

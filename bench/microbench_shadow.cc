@@ -15,8 +15,8 @@
  *   fasttrack-full  full-plan FastTrack attached (race workloads);
  *   giri-full       full-plan GiriSlicer attached (slice workloads).
  *
- * Each measurement is best-of-N wall time over an identical
- * deterministic run; the JSON (BENCH_microbench_shadow.json) carries
+ * Each measurement is the median (and p90) wall time of N identical
+ * deterministic runs; the JSON (BENCH_microbench_shadow.json) carries
  * (workload, variant, wall-ms, delivered events) so the perf
  * trajectory is tracked across PRs.
  */
@@ -34,41 +34,10 @@ namespace {
 
 constexpr int kReps = 5;
 
-struct Sample
-{
-    double bestMs = 0;
-    std::uint64_t events = 0; ///< delivered (or total for plain)
-
-    double
-    eventsPerSec() const
-    {
-        return bestMs > 0 ? double(events) / (bestMs / 1000.0) : 0;
-    }
-};
-
-/** Best-of-kReps wall time of one deterministic run under @p attach.
- *  @p attach receives the interpreter and returns the tool to keep
- *  alive for the run (may attach nothing for the plain variant). */
-template <typename RunOnce>
-Sample
-measure(RunOnce runOnce)
-{
-    Sample sample;
-    for (int rep = 0; rep < kReps; ++rep) {
-        const double t0 = bench::nowMs();
-        const std::uint64_t events = runOnce();
-        const double ms = bench::nowMs() - t0;
-        if (rep == 0 || ms < sample.bestMs)
-            sample.bestMs = ms;
-        sample.events = events;
-    }
-    return sample;
-}
-
-Sample
+bench::Sample
 measurePlain(const workloads::Workload &workload)
 {
-    return measure([&] {
+    return bench::measure(kReps, [&] {
         exec::Interpreter interp(*workload.module,
                                  workload.testingSet.front());
         const auto result = interp.run();
@@ -76,11 +45,11 @@ measurePlain(const workloads::Workload &workload)
     });
 }
 
-Sample
+bench::Sample
 measureFastTrack(const workloads::Workload &workload,
                  const exec::InstrumentationPlan &plan)
 {
-    return measure([&] {
+    return bench::measure(kReps, [&] {
         dyn::FastTrack tool;
         exec::Interpreter interp(*workload.module,
                                  workload.testingSet.front());
@@ -93,11 +62,11 @@ measureFastTrack(const workloads::Workload &workload,
     });
 }
 
-Sample
+bench::Sample
 measureGiri(const workloads::Workload &workload,
             const exec::InstrumentationPlan &plan)
 {
-    return measure([&] {
+    return bench::measure(kReps, [&] {
         dyn::GiriSlicer tool(*workload.module);
         exec::Interpreter interp(*workload.module,
                                  workload.testingSet.front());
@@ -126,31 +95,31 @@ main()
     double ftMs = 0, giriMs = 0;
 
     auto row = [&](const std::string &name, const char *variant,
-                   const Sample &sample) {
-        table.addRow({name, variant, fmtDouble(sample.bestMs, 2),
+                   const bench::Sample &sample) {
+        table.addRow({name, variant, fmtDouble(sample.medianMs, 2),
                       std::to_string(sample.events),
                       fmtDouble(sample.eventsPerSec() / 1e6, 2) + "M"});
-        json.add(name, variant, sample.bestMs, sample.events);
+        json.add(name, variant, sample);
     };
 
     for (const std::string &name : workloads::raceWorkloadNames()) {
         const auto workload = workloads::makeRaceWorkload(name, 1, 1);
         const auto plan = dyn::fullFastTrackPlan(*workload.module);
         row(name, "interp-plain", measurePlain(workload));
-        const Sample ft = measureFastTrack(workload, plan);
+        const bench::Sample ft = measureFastTrack(workload, plan);
         row(name, "fasttrack-full", ft);
         ftEvents += ft.events;
-        ftMs += ft.bestMs;
+        ftMs += ft.medianMs;
     }
 
     for (const std::string &name : workloads::sliceWorkloadNames()) {
         const auto workload = workloads::makeSliceWorkload(name, 1, 1);
         const auto plan = dyn::fullGiriPlan(*workload.module);
         row(name, "interp-plain", measurePlain(workload));
-        const Sample giri = measureGiri(workload, plan);
+        const bench::Sample giri = measureGiri(workload, plan);
         row(name, "giri-full", giri);
         giriEvents += giri.events;
-        giriMs += giri.bestMs;
+        giriMs += giri.medianMs;
     }
 
     std::printf("%s\n", table.str().c_str());

@@ -38,7 +38,8 @@
  * run was in) — and all three must report identical work units (the
  * solver is deterministic; only wall time may change).
  *
- * Each measurement is best-of-N; BENCH_microbench_static.json carries
+ * Each measurement is the median (and p90) of N reps;
+ * BENCH_microbench_static.json carries
  * the samples plus the aggregate end-to-end speedup.
  * OHA_BENCH_SMOKE=1 (CI) shrinks repetitions and downgrades a missed
  * scaling bar to a warning — shared-runner timing is too noisy to
@@ -64,29 +65,6 @@ smokeMode()
 {
     const char *env = std::getenv("OHA_BENCH_SMOKE");
     return env && *env && *env != '0';
-}
-
-struct Sample
-{
-    double bestMs = 0;
-    std::uint64_t events = 0; ///< solver work units (0 if untracked)
-};
-
-template <typename RunOnce>
-Sample
-measure(RunOnce runOnce)
-{
-    const int kReps = smokeMode() ? 2 : 5;
-    Sample sample;
-    for (int rep = 0; rep < kReps; ++rep) {
-        const double t0 = bench::nowMs();
-        const std::uint64_t events = runOnce();
-        const double ms = bench::nowMs() - t0;
-        if (rep == 0 || ms < sample.bestMs)
-            sample.bestMs = ms;
-        sample.events = events;
-    }
-    return sample;
 }
 
 /** The sweep's invariant sets: one campaign per profiling-run count,
@@ -288,20 +266,21 @@ main()
                   "static phase cheap enough to amortize (Section 5, "
                   "Table 2)");
 
+    const int kReps = smokeMode() ? 2 : 5;
     bench::JsonReport json("microbench_static");
     TextTable table(
         {"workload", "variant", "wall ms", "work units", "units/sec"});
 
     auto row = [&](const std::string &name, const char *variant,
-                   const Sample &sample) {
+                   const bench::Sample &sample) {
         const double perSec =
-            sample.bestMs > 0
-                ? double(sample.events) / (sample.bestMs / 1000.0)
+            sample.medianMs > 0
+                ? double(sample.events) / (sample.medianMs / 1000.0)
                 : 0;
-        table.addRow({name, variant, fmtDouble(sample.bestMs, 2),
+        table.addRow({name, variant, fmtDouble(sample.medianMs, 2),
                       std::to_string(sample.events),
                       fmtDouble(perSec / 1e6, 2) + "M"});
-        json.add(name, variant, sample.bestMs, sample.events);
+        json.add(name, variant, sample);
     };
 
     double preMs = 0, postMs = 0;
@@ -311,19 +290,20 @@ main()
         const std::vector<inv::InvariantSet> sweep =
             sweepInvariants(workload);
         const inv::InvariantSet &invariants = sweep.back();
-        row(name, "solver-reference",
-            measure([&] { return solveOnce(workload, invariants, true); }));
-        row(name, "solver-delta",
-            measure(
-                [&] { return solveOnce(workload, invariants, false); }));
-        const Sample pre = measure(
-            [&] { return racePhaseOnce(workload, sweep, false); });
-        const Sample post = measure(
-            [&] { return racePhaseOnce(workload, sweep, true); });
+        row(name, "solver-reference", bench::measure(kReps, [&] {
+                return solveOnce(workload, invariants, true);
+            }));
+        row(name, "solver-delta", bench::measure(kReps, [&] {
+                return solveOnce(workload, invariants, false);
+            }));
+        const bench::Sample pre = bench::measure(
+            kReps, [&] { return racePhaseOnce(workload, sweep, false); });
+        const bench::Sample post = bench::measure(
+            kReps, [&] { return racePhaseOnce(workload, sweep, true); });
         row(name, "static-phase-pre", pre);
         row(name, "static-phase-post", post);
-        preMs += pre.bestMs;
-        postMs += post.bestMs;
+        preMs += pre.medianMs;
+        postMs += post.medianMs;
     }
 
     for (const std::string &name : workloads::sliceWorkloadNames()) {
@@ -331,19 +311,20 @@ main()
         const std::vector<inv::InvariantSet> sweep =
             sweepInvariants(workload);
         const inv::InvariantSet &invariants = sweep.back();
-        row(name, "solver-reference",
-            measure([&] { return solveOnce(workload, invariants, true); }));
-        row(name, "solver-delta",
-            measure(
-                [&] { return solveOnce(workload, invariants, false); }));
-        const Sample pre = measure(
-            [&] { return slicePhaseOnce(workload, sweep, false); });
-        const Sample post = measure(
-            [&] { return slicePhaseOnce(workload, sweep, true); });
+        row(name, "solver-reference", bench::measure(kReps, [&] {
+                return solveOnce(workload, invariants, true);
+            }));
+        row(name, "solver-delta", bench::measure(kReps, [&] {
+                return solveOnce(workload, invariants, false);
+            }));
+        const bench::Sample pre = bench::measure(
+            kReps, [&] { return slicePhaseOnce(workload, sweep, false); });
+        const bench::Sample post = bench::measure(
+            kReps, [&] { return slicePhaseOnce(workload, sweep, true); });
         row(name, "static-phase-pre", pre);
         row(name, "static-phase-post", post);
-        preMs += pre.bestMs;
-        postMs += post.bestMs;
+        preMs += pre.medianMs;
+        postMs += post.medianMs;
     }
 
     // Wavefront thread scaling on the propagation-dominated module.
@@ -356,7 +337,7 @@ main()
     std::uint64_t threadUnits[3] = {0, 0, 0};
     const std::uint32_t threadCounts[3] = {1, 2, 4};
     for (int t = 0; t < 3; ++t) {
-        const Sample sample = measure([&] {
+        const bench::Sample sample = bench::measure(kReps, [&] {
             analysis::AndersenOptions options;
             options.solverThreads = threadCounts[t];
             return analysis::runAndersen(*dispatch, options).workUnits;
@@ -365,7 +346,7 @@ main()
         std::snprintf(variant, sizeof variant, "solver-threads-%u",
                       threadCounts[t]);
         row("dispatch-surface", variant, sample);
-        threadMs[t] = sample.bestMs;
+        threadMs[t] = sample.medianMs;
         threadUnits[t] = sample.events;
     }
     if (threadUnits[1] != threadUnits[0] ||

@@ -5,14 +5,22 @@
  *
  * Two layers of measurement:
  *
- *  1. Event level (best-of-N): for each workload's first testing
+ *  1. Event level (median of N): for each workload's first testing
  *     input, the cost of (a) recording the trace once, (b) running a
  *     full-plan analysis on a live interpreter, and (c) replaying the
  *     recorded trace through the same analysis.  Replay skips guest
  *     fetch/decode/eval entirely, so (c) should beat (b) on delivered
  *     events/sec; the `replay_speedup` metric is (b)/(c) wall time.
  *
- *  2. Pipeline level: end-to-end runOptFt (Figure 5 workloads) and
+ *  2. Grouped replay: the pipelines decode each capture once for all
+ *     the configurations they evaluate together (TraceReplayer
+ *     groups).  `grouped-replay` times that one pass on the largest
+ *     race capture (full, hybrid, optimistic+checker FastTrack) and
+ *     one slice capture (hybrid and optimistic slicers for up to three
+ *     endpoints, one shared checker); `solo-replays` times one replay
+ *     per configuration; the `speedup` metric is their ratio.
+ *
+ *  3. Pipeline level: end-to-end runOptFt (Figure 5 workloads) and
  *     runOptSlice (Figure 6 workloads) with useTraceReplay off vs on.
  *     Results are byte-identical by construction (pinned by
  *     trace_replay_parity_test); what changes is interpreter work.
@@ -31,11 +39,17 @@
 #include "bench_common.h"
 
 #include <cstdlib>
+#include <functional>
+#include <memory>
 
+#include "analysis/race_detector.h"
+#include "analysis/slicer.h"
 #include "dyn/fasttrack.h"
 #include "dyn/giri.h"
+#include "dyn/invariant_checker.h"
 #include "dyn/plans.h"
 #include "exec/trace.h"
+#include "profile/profiler.h"
 #include "workloads/workloads.h"
 
 using namespace oha;
@@ -49,33 +63,107 @@ smokeMode()
     return env && *env && *env != '0';
 }
 
-struct Sample
-{
-    double bestMs = 0;
-    std::uint64_t events = 0;
+/** Attaches one analysis configuration's tools to a replayer (into
+ *  its newest group, aborting through @p control), keeping them alive
+ *  in @p tools. */
+using AttachConfig = std::function<void(
+    exec::TraceReplayer &replayer, exec::ExecutionControl &control,
+    std::vector<std::unique_ptr<exec::Tool>> &tools)>;
 
-    double
-    eventsPerSec() const
-    {
-        return bestMs > 0 ? double(events) / (bestMs / 1000.0) : 0;
-    }
-};
-
-/** Best-of-@p reps wall time of one deterministic measurement. */
-template <typename RunOnce>
-Sample
-measure(int reps, RunOnce runOnce)
+/** Replay @p trace through @p configs: one pass with one group per
+ *  configuration when @p grouped, else one pass per configuration. */
+void
+replayConfigs(const ir::Module &module, const exec::RecordedTrace &trace,
+              const std::vector<AttachConfig> &configs, bool grouped)
 {
-    Sample sample;
-    for (int rep = 0; rep < reps; ++rep) {
-        const double t0 = bench::nowMs();
-        const std::uint64_t events = runOnce();
-        const double ms = bench::nowMs() - t0;
-        if (rep == 0 || ms < sample.bestMs)
-            sample.bestMs = ms;
-        sample.events = events;
+    auto pass = [&](std::size_t first, std::size_t last) {
+        std::vector<std::unique_ptr<exec::Tool>> tools;
+        exec::TraceReplayer replayer(module, trace);
+        for (std::size_t c = first; c < last; ++c) {
+            const std::size_t group = c == first ? 0 : replayer.addGroup();
+            configs[c](replayer, replayer.control(group), tools);
+        }
+        replayer.runGroups();
+    };
+    if (grouped) {
+        pass(0, configs.size());
+    } else {
+        for (std::size_t c = 0; c < configs.size(); ++c)
+            pass(c, c + 1);
     }
-    return sample;
+}
+
+/** Attach an invariant checker that aborts through @p control. */
+void
+attachChecker(exec::TraceReplayer &replayer, exec::ExecutionControl &control,
+              std::vector<std::unique_ptr<exec::Tool>> &tools,
+              const ir::Module &module, const inv::InvariantSet &invariants,
+              const dyn::CheckerConfig &config)
+{
+    auto checker =
+        std::make_unique<dyn::InvariantChecker>(module, invariants, config);
+    checker->setControl(&control);
+    replayer.attach(checker.get(), &checker->plan());
+    tools.push_back(std::move(checker));
+}
+
+/** FastTrack under @p plan, plus a checker when @p invariants. */
+AttachConfig
+fastTrackConfig(const ir::Module &module,
+                const exec::InstrumentationPlan &plan,
+                const inv::InvariantSet *invariants = nullptr)
+{
+    return [&module, &plan, invariants](
+               exec::TraceReplayer &replayer,
+               exec::ExecutionControl &control,
+               std::vector<std::unique_ptr<exec::Tool>> &tools) {
+        tools.push_back(std::make_unique<dyn::FastTrack>());
+        replayer.attach(tools.back().get(), &plan);
+        if (invariants) {
+            dyn::CheckerConfig checkerConfig;
+            checkerConfig.callContexts = false;
+            attachChecker(replayer, control, tools, module, *invariants,
+                          checkerConfig);
+        }
+    };
+}
+
+/** One Giri slicer per plan, plus one shared checker when
+ *  @p invariants. */
+AttachConfig
+giriConfig(const ir::Module &module,
+           std::vector<const exec::InstrumentationPlan *> plans,
+           const inv::InvariantSet *invariants = nullptr)
+{
+    return [&module, plans, invariants](
+               exec::TraceReplayer &replayer,
+               exec::ExecutionControl &control,
+               std::vector<std::unique_ptr<exec::Tool>> &tools) {
+        for (const exec::InstrumentationPlan *plan : plans) {
+            tools.push_back(std::make_unique<dyn::GiriSlicer>(module));
+            replayer.attach(tools.back().get(), plan);
+        }
+        if (invariants) {
+            dyn::CheckerConfig checkerConfig;
+            checkerConfig.callContexts = invariants->hasCallContexts;
+            checkerConfig.guardingLocks = false;
+            checkerConfig.singletonThreads = false;
+            attachChecker(replayer, control, tools, module, *invariants,
+                          checkerConfig);
+        }
+    };
+}
+
+/** Invariants profiled on @p workload's profiling set. */
+inv::InvariantSet
+profiledInvariants(const workloads::Workload &workload, bool callContexts)
+{
+    prof::ProfileOptions options;
+    options.callContexts = callContexts;
+    prof::ProfilingCampaign campaign(*workload.module, options);
+    for (const exec::ExecConfig &input : workload.profilingSet)
+        campaign.addRun(input);
+    return campaign.invariants();
 }
 
 } // namespace
@@ -99,11 +187,11 @@ main()
     TextTable table({"workload", "variant", "wall ms", "events",
                      "events/sec"});
     auto row = [&](const std::string &name, const char *variant,
-                   const Sample &sample) {
-        table.addRow({name, variant, fmtDouble(sample.bestMs, 2),
+                   const bench::Sample &sample) {
+        table.addRow({name, variant, fmtDouble(sample.medianMs, 2),
                       std::to_string(sample.events),
                       fmtDouble(sample.eventsPerSec() / 1e6, 2) + "M"});
-        json.add(name, variant, sample.bestMs, sample.events);
+        json.add(name, variant, sample);
     };
 
     // ---- Event level: live FastTrack vs replayed FastTrack ----------
@@ -123,7 +211,7 @@ main()
         const auto &input = workload.testingSet.front();
         const auto plan = dyn::fullFastTrackPlan(module);
 
-        const Sample record = measure(kReps, [&] {
+        const bench::Sample record = bench::measure(kReps, [&] {
             const auto trace = exec::recordRun(module, input);
             return trace.result.totalEvents.total();
         });
@@ -133,7 +221,7 @@ main()
             largestName = name;
         }
 
-        const Sample direct = measure(kReps, [&] {
+        const bench::Sample direct = bench::measure(kReps, [&] {
             dyn::FastTrack tool;
             exec::Interpreter interp(module, input);
             interp.attach(&tool, &plan);
@@ -145,7 +233,7 @@ main()
         row(name, "fasttrack-direct", direct);
 
         const exec::RecordedTrace trace = exec::recordRun(module, input);
-        const Sample replay = measure(kReps, [&] {
+        const bench::Sample replay = bench::measure(kReps, [&] {
             dyn::FastTrack tool;
             exec::TraceReplayer replayer(module, trace);
             replayer.attach(&tool, &plan);
@@ -157,7 +245,7 @@ main()
         row(name, "fasttrack-replay", replay);
 
         const double speedup =
-            replay.bestMs > 0 ? direct.bestMs / replay.bestMs : 0;
+            replay.medianMs > 0 ? direct.medianMs / replay.medianMs : 0;
         json.metric(name, "fasttrack", "replay_speedup", speedup);
         replaySpeedups.push_back(speedup);
     }
@@ -168,7 +256,7 @@ main()
         const auto &input = workload.testingSet.front();
         const auto plan = dyn::fullGiriPlan(module);
 
-        const Sample direct = measure(kReps, [&] {
+        const bench::Sample direct = bench::measure(kReps, [&] {
             dyn::GiriSlicer tool(module);
             exec::Interpreter interp(module, input);
             interp.attach(&tool, &plan);
@@ -180,7 +268,7 @@ main()
         row(name, "giri-direct", direct);
 
         const exec::RecordedTrace trace = exec::recordRun(module, input);
-        const Sample replay = measure(kReps, [&] {
+        const bench::Sample replay = bench::measure(kReps, [&] {
             dyn::GiriSlicer tool(module);
             exec::TraceReplayer replayer(module, trace);
             replayer.attach(&tool, &plan);
@@ -192,7 +280,7 @@ main()
         row(name, "giri-replay", replay);
 
         const double speedup =
-            replay.bestMs > 0 ? direct.bestMs / replay.bestMs : 0;
+            replay.medianMs > 0 ? direct.medianMs / replay.medianMs : 0;
         json.metric(name, "giri", "replay_speedup", speedup);
         replaySpeedups.push_back(speedup);
     }
@@ -214,7 +302,7 @@ main()
         exec::TraceStoreOptions spillOptions;
         spillOptions.segmentBytes = std::max<std::size_t>(
             4096, static_cast<std::size_t>(trace.events.sizeBytes() / 8));
-        const Sample spillRecord = measure(kReps, [&] {
+        const bench::Sample spillRecord = bench::measure(kReps, [&] {
             const auto spilled =
                 exec::recordRun(module, input, spillOptions);
             if (!spilled.events.spilled())
@@ -225,7 +313,7 @@ main()
 
         const exec::RecordedTrace spilled =
             exec::recordRun(module, input, spillOptions);
-        const Sample spillReplay = measure(kReps, [&] {
+        const bench::Sample spillReplay = bench::measure(kReps, [&] {
             dyn::FastTrack tool;
             exec::TraceReplayer replayer(module, spilled);
             replayer.attach(&tool, &plan);
@@ -252,6 +340,107 @@ main()
                         spilled.events.sizeBytes()));
     }
 
+    // ---- One decode pass vs one replay per configuration -----------
+    // The pipelines' pass shapes on one capture each.  OptFT: full,
+    // hybrid and optimistic FastTrack (+ checker) on the largest race
+    // capture.  OptSlice: hybrid and optimistic slicers for up to three
+    // endpoints of one slice capture — solo-replays decodes once per
+    // (endpoint, plan) with a checker per optimistic slicer, the
+    // grouped pass once in total with one shared checker.
+    TextTable groupTable({"workload", "solo-replays ms", "grouped ms",
+                          "p90 solo / grouped", "speedup"});
+    auto groupedRow = [&](const std::string &name,
+                          const ir::Module &module,
+                          const exec::RecordedTrace &trace,
+                          const std::vector<AttachConfig> &soloConfigs,
+                          const std::vector<AttachConfig> &groupConfigs) {
+        const std::uint64_t events = trace.result.totalEvents.total();
+        const bench::Sample solo = bench::measure(kReps, [&] {
+            replayConfigs(module, trace, soloConfigs, false);
+            return events;
+        });
+        const bench::Sample grouped = bench::measure(kReps, [&] {
+            replayConfigs(module, trace, groupConfigs, true);
+            return events;
+        });
+        const double speedup =
+            grouped.medianMs > 0 ? solo.medianMs / grouped.medianMs : 0;
+        groupTable.addRow({name, fmtDouble(solo.medianMs, 2),
+                           fmtDouble(grouped.medianMs, 2),
+                           fmtDouble(solo.p90Ms, 2) + " / " +
+                               fmtDouble(grouped.p90Ms, 2),
+                           fmtDouble(speedup, 2) + "x"});
+        json.add(name, "solo-replays", solo);
+        json.add(name, "grouped-replay", grouped);
+        json.metric(name, "grouped-replay", "speedup", speedup);
+    };
+    if (!largestName.empty()) {
+        const auto workload =
+            workloads::makeRaceWorkload(largestName, profileRuns, 1);
+        const ir::Module &module = *workload.module;
+        const inv::InvariantSet invariants =
+            profiledInvariants(workload, false);
+        const auto sound = analysis::runStaticRaceDetector(module, nullptr);
+        const auto predicated =
+            analysis::runStaticRaceDetector(module, &invariants);
+        const auto fullPlan = dyn::fullFastTrackPlan(module);
+        const auto hybridPlan =
+            dyn::hybridFastTrackPlan(module, sound.racyAccesses);
+        const auto optPlan = dyn::optimisticFastTrackPlan(
+            module, predicated.racyAccesses, invariants);
+        const exec::RecordedTrace trace =
+            exec::recordRun(module, workload.testingSet.front());
+        const std::vector<AttachConfig> configs = {
+            fastTrackConfig(module, fullPlan),
+            fastTrackConfig(module, hybridPlan),
+            fastTrackConfig(module, optPlan, &invariants),
+        };
+        groupedRow(largestName, module, trace, configs, configs);
+    }
+    {
+        const std::string &name = sliceNames.front();
+        const auto workload =
+            workloads::makeSliceWorkload(name, profileRuns, 1);
+        const ir::Module &module = *workload.module;
+        const inv::InvariantSet invariants =
+            profiledInvariants(workload, true);
+        const auto soundPts = analysis::runAndersen(module, {});
+        analysis::AndersenOptions optOptions;
+        optOptions.invariants = &invariants;
+        const auto optPts = analysis::runAndersen(module, optOptions);
+        analysis::SlicerOptions optSlicerOptions;
+        optSlicerOptions.invariants = &invariants;
+        const analysis::StaticSlicer soundSlicer(module, soundPts, {});
+        const analysis::StaticSlicer optSlicer(module, optPts,
+                                               optSlicerOptions);
+        std::vector<exec::InstrumentationPlan> hybridPlans, optPlans;
+        for (InstrId id = 0;
+             id < module.numInstrs() && hybridPlans.size() < 3; ++id) {
+            if (module.instr(id).op != ir::Opcode::Output)
+                continue;
+            hybridPlans.push_back(dyn::sliceGiriPlan(
+                module, soundSlicer.slice(id).instructions));
+            optPlans.push_back(dyn::sliceGiriPlan(
+                module, optSlicer.slice(id).instructions));
+        }
+        std::vector<const exec::InstrumentationPlan *> hybrid, opt;
+        std::vector<AttachConfig> solo;
+        for (const auto &plan : hybridPlans) {
+            hybrid.push_back(&plan);
+            solo.push_back(giriConfig(module, {&plan}));
+        }
+        for (const auto &plan : optPlans) {
+            opt.push_back(&plan);
+            solo.push_back(giriConfig(module, {&plan}, &invariants));
+        }
+        const exec::RecordedTrace trace =
+            exec::recordRun(module, workload.testingSet.front());
+        groupedRow(name, module, trace, solo,
+                   {giriConfig(module, hybrid),
+                    giriConfig(module, opt, &invariants)});
+    }
+    std::printf("%s\n", groupTable.str().c_str());
+
     // ---- Pipeline level: execute-once vs execute-per-configuration --
     TextTable pipeTable({"workload", "pipeline", "direct ms", "replay ms",
                          "interp-step ratio", "e2e speedup"});
@@ -266,11 +455,11 @@ main()
         replay.useTraceReplay = true;
 
         core::OptFtResult directResult, replayResult;
-        const Sample directMs = measure(kPipeReps, [&] {
+        const bench::Sample directMs = bench::measure(kPipeReps, [&] {
             directResult = core::runOptFt(workload, direct);
             return directResult.interpretedSteps;
         });
-        const Sample replayMs = measure(kPipeReps, [&] {
+        const bench::Sample replayMs = bench::measure(kPipeReps, [&] {
             replayResult = core::runOptFt(workload, replay);
             return replayResult.interpretedSteps;
         });
@@ -280,16 +469,16 @@ main()
                 ? double(directResult.interpretedSteps) /
                       double(replayResult.interpretedSteps)
                 : 0;
-        const double e2e = replayMs.bestMs > 0
-                               ? directMs.bestMs / replayMs.bestMs
+        const double e2e = replayMs.medianMs > 0
+                               ? directMs.medianMs / replayMs.medianMs
                                : 0;
         stepRatios.push_back(ratio);
-        pipeTable.addRow({name, "optft", fmtDouble(directMs.bestMs, 1),
-                          fmtDouble(replayMs.bestMs, 1),
+        pipeTable.addRow({name, "optft", fmtDouble(directMs.medianMs, 1),
+                          fmtDouble(replayMs.medianMs, 1),
                           fmtDouble(ratio, 2), fmtDouble(e2e, 2)});
-        json.add(name, "optft-direct", directMs.bestMs,
+        json.add(name, "optft-direct", directMs.medianMs,
                  directResult.interpretedSteps);
-        json.add(name, "optft-replay", replayMs.bestMs,
+        json.add(name, "optft-replay", replayMs.medianMs,
                  replayResult.interpretedSteps);
         json.metric(name, "optft", "interp_step_ratio", ratio);
         json.metric(name, "optft", "e2e_speedup", e2e);
@@ -304,11 +493,11 @@ main()
         replay.useTraceReplay = true;
 
         core::OptSliceResult directResult, replayResult;
-        const Sample directMs = measure(kPipeReps, [&] {
+        const bench::Sample directMs = bench::measure(kPipeReps, [&] {
             directResult = core::runOptSlice(workload, direct);
             return directResult.interpretedSteps;
         });
-        const Sample replayMs = measure(kPipeReps, [&] {
+        const bench::Sample replayMs = bench::measure(kPipeReps, [&] {
             replayResult = core::runOptSlice(workload, replay);
             return replayResult.interpretedSteps;
         });
@@ -318,16 +507,16 @@ main()
                 ? double(directResult.interpretedSteps) /
                       double(replayResult.interpretedSteps)
                 : 0;
-        const double e2e = replayMs.bestMs > 0
-                               ? directMs.bestMs / replayMs.bestMs
+        const double e2e = replayMs.medianMs > 0
+                               ? directMs.medianMs / replayMs.medianMs
                                : 0;
         stepRatios.push_back(ratio);
-        pipeTable.addRow({name, "optslice", fmtDouble(directMs.bestMs, 1),
-                          fmtDouble(replayMs.bestMs, 1),
+        pipeTable.addRow({name, "optslice", fmtDouble(directMs.medianMs, 1),
+                          fmtDouble(replayMs.medianMs, 1),
                           fmtDouble(ratio, 2), fmtDouble(e2e, 2)});
-        json.add(name, "optslice-direct", directMs.bestMs,
+        json.add(name, "optslice-direct", directMs.medianMs,
                  directResult.interpretedSteps);
-        json.add(name, "optslice-replay", replayMs.bestMs,
+        json.add(name, "optslice-replay", replayMs.medianMs,
                  replayResult.interpretedSteps);
         json.metric(name, "optslice", "interp_step_ratio", ratio);
         json.metric(name, "optslice", "e2e_speedup", e2e);

@@ -14,9 +14,11 @@
 #                        # the trace capture/replay microbenchmark
 #                        # (OHA_BENCH_SMOKE=1: reduced reps and corpus)
 #   ci/run.sh faults     # fault-injection sweep: the misspeculation
-#                        # recovery tests under OHA_FAULT_SEED 1..3,
-#                        # each at OHA_THREADS=1 and 4 (seeded faults
-#                        # must repair identically at any thread count),
+#                        # recovery tests and the grouped-replay tests
+#                        # (seeded faults abort checker groups
+#                        # mid-pass) under OHA_FAULT_SEED 1..3, each at
+#                        # OHA_THREADS=1 and 4 (seeded faults must
+#                        # repair identically at any thread count),
 #                        # then the I/O fault domain — persist-path
 #                        # fault sweeps, corruption fuzzing and the
 #                        # kill-at-any-write-point crash-recovery
@@ -117,7 +119,7 @@ faults)
                 "OHA_THREADS=$threads ==="
             OHA_FAULT_SEED="$seed" OHA_THREADS="$threads" \
                 ctest --test-dir "$build_dir" --output-on-failure \
-                -R 'FaultInjection|FaultInjector|AdaptiveRecovery|Violation'
+                -R 'FaultInjection|FaultInjector|AdaptiveRecovery|Violation|ReplayGroups'
         done
     done
     # I/O fault domain: every durable-file, capture-persist and

@@ -55,27 +55,38 @@ runFastTrack(const ir::Module &module, const exec::ExecConfig &config,
 }
 
 /** Same analysis, driven from a recorded trace instead of a live
- *  interpreter (record-once/analyze-many).  Byte-identical results. */
-FtRun
+ *  interpreter (record-once/analyze-many), for several plans in one
+ *  decode pass: group g runs FastTrack under plans[g], and @p checker
+ *  (when given) joins the last group.  Each FtRun is byte-identical to
+ *  a live run of that plan alone. */
+std::vector<FtRun>
 replayFastTrack(const ir::Module &module, const exec::RecordedTrace &trace,
-                const exec::InstrumentationPlan &plan,
+                const std::vector<const exec::InstrumentationPlan *> &plans,
                 dyn::InvariantChecker *checker = nullptr)
 {
-    FtRun out;
-    dyn::FastTrack tool;
+    std::vector<dyn::FastTrack> tools(plans.size());
     exec::TraceReplayer replayer(module, trace);
-    replayer.attach(&tool, &plan);
+    for (std::size_t g = 0; g < plans.size(); ++g) {
+        if (g > 0)
+            replayer.addGroup();
+        replayer.attach(&tools[g], plans[g]);
+    }
     if (checker) {
-        checker->setControl(&replayer);
+        checker->setControl(&replayer.control(plans.size() - 1));
         replayer.attach(checker, &checker->plan());
     }
-    out.result = replayer.run();
-    out.races = tool.racePairs();
-    out.ftDelivered = out.result.delivered[0];
+    std::vector<exec::RunResult> results = replayer.runGroups();
+    std::vector<FtRun> out(plans.size());
+    for (std::size_t g = 0; g < plans.size(); ++g) {
+        out[g].result = std::move(results[g]);
+        out[g].races = tools[g].racePairs();
+        out[g].ftDelivered = out[g].result.delivered[0];
+    }
     if (checker) {
-        out.checkerDelivered = out.result.delivered[1];
-        out.slowChecks = checker->slowContextChecks();
-        out.violated = checker->violated();
+        FtRun &last = out.back();
+        last.checkerDelivered = last.result.delivered[1];
+        last.slowChecks = checker->slowContextChecks();
+        last.violated = checker->violated();
     }
     return out;
 }
@@ -195,22 +206,44 @@ calibrateLockElision(const ir::Module &module,
     OHA_ASSERT(!traces || traces->size() >= runs,
                "calibration traces must cover the calibration runs");
 
-    // Each calibration execution comes either from a live run or — in
-    // record-once mode — from replaying the input's recorded trace,
+    // Races of every calibration run under each of `plans`.  Each
+    // execution comes either from a live run or — in record-once mode —
+    // from replaying the input's recorded trace, all plans in one pass,
     // so every round of the elision loop reuses the same captures.
-    auto calibRaces = [&](std::size_t i,
-                          const exec::InstrumentationPlan &plan) {
-        if (traces)
-            return replayFastTrack(module, *(*traces)[i], plan).races;
-        return runFastTrack(module, workload.profilingSet[i], plan).races;
-    };
+    auto calibRaces =
+        [&](const std::vector<const exec::InstrumentationPlan *> &plans) {
+            return support::runBatch(
+                runs,
+                [&](std::size_t i) {
+                    std::vector<RacePairs> races;
+                    if (traces) {
+                        for (FtRun &run :
+                             replayFastTrack(module, *(*traces)[i], plans))
+                            races.push_back(std::move(run.races));
+                    } else {
+                        for (const exec::InstrumentationPlan *plan : plans)
+                            races.push_back(
+                                runFastTrack(module,
+                                             workload.profilingSet[i],
+                                             *plan)
+                                    .races);
+                    }
+                    return races;
+                },
+                threads);
+        };
 
     // The sound reference races are loop-invariant (the plan never
-    // changes across rounds): compute them once, batched.
-    const std::vector<RacePairs> soundRaces = support::runBatch(
-        runs,
-        [&](std::size_t i) { return calibRaces(i, soundPlan); },
-        threads);
+    // changes across rounds).  Live runs compute them once up front;
+    // replayed runs fold them into the first round's pass.
+    std::vector<RacePairs> soundRaces(runs);
+    bool haveSoundRaces = false;
+    if (!traces) {
+        std::vector<std::vector<RacePairs>> sound = calibRaces({&soundPlan});
+        for (std::size_t i = 0; i < runs; ++i)
+            soundRaces[i] = std::move(sound[i][0]);
+        haveSoundRaces = true;
+    }
 
     while (!candidates.empty()) {
         inv::InvariantSet trial = invariants;
@@ -221,10 +254,17 @@ calibrateLockElision(const ir::Module &module,
                                          trial);
 
         // Validate every calibration trial of this round concurrently.
-        const std::vector<RacePairs> optRaces = support::runBatch(
-            runs,
-            [&](std::size_t i) { return calibRaces(i, optPlan); },
-            threads);
+        std::vector<const exec::InstrumentationPlan *> plans = {&optPlan};
+        if (!haveSoundRaces)
+            plans.insert(plans.begin(), &soundPlan);
+        std::vector<std::vector<RacePairs>> roundRaces = calibRaces(plans);
+        std::vector<RacePairs> optRaces(runs);
+        for (std::size_t i = 0; i < runs; ++i) {
+            if (!haveSoundRaces)
+                soundRaces[i] = std::move(roundRaces[i].front());
+            optRaces[i] = std::move(roundRaces[i].back());
+        }
+        haveSoundRaces = true;
 
         std::set<InstrId> falseRaceFuncs;
         bool mismatch = false;
@@ -467,32 +507,15 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
     }
 
     // Reference runs.  Full and hybrid FastTrack do not depend on the
-    // speculative plan, so they are evaluated once per input up
-    // front; the hybrid result doubles as the deterministic rollback
-    // re-analysis (identical by determinism) and as the degraded
-    // configuration once the circuit breaker trips.
+    // speculative plan, so they are evaluated once per input; the
+    // hybrid result doubles as the deterministic rollback re-analysis
+    // (identical by determinism) and as the degraded configuration
+    // once the circuit breaker trips.
     struct RefEval
     {
         FtRun full;
         FtRun hybrid;
     };
-    const std::vector<RefEval> refs = support::runBatch(
-        numTests,
-        [&](std::size_t i) {
-            RefEval ref;
-            if (config.useTraceReplay) {
-                ref.full = replayFastTrack(module, *traces[i], fullPlan);
-                ref.hybrid = replayFastTrack(module, *traces[i], hybridPlan);
-            } else {
-                ref.full = runFastTrack(module, workload.testingSet[i],
-                                        fullPlan);
-                ref.hybrid = runFastTrack(module, workload.testingSet[i],
-                                          hybridPlan);
-            }
-            return ref;
-        },
-        config.threads);
-
     // Speculative runs, in adaptive rounds.  Each round batch-runs
     // the remaining inputs under the current optimistic plan, then
     // scans the outcomes serially in input-index order.  At the first
@@ -511,6 +534,63 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
         bool degraded = false;
         dyn::Violation violation;
     };
+    // The rollback decision for one optimistic run under the current
+    // plan and its checker.
+    auto judge = [&](FtRun optimistic,
+                     const dyn::InvariantChecker &checker) {
+        OptEval eval;
+        eval.optimistic = std::move(optimistic);
+        if (optFtShouldRollBack(eval.optimistic.violated,
+                                !eval.optimistic.races.empty(),
+                                !invariants.elidableLockSites.empty())) {
+            eval.rolledBack = true;
+            if (checker.violated()) {
+                eval.violation = checker.violation();
+            } else {
+                eval.violation.family =
+                    dyn::ViolationFamily::ElidedLockRace;
+            }
+        }
+        return eval;
+    };
+
+    // In record-once mode one decode pass per capture evaluates the
+    // references and the first round together, as three replay
+    // groups: full, hybrid, and optimistic plus its checker.
+    std::vector<RefEval> refs(numTests);
+    std::vector<OptEval> fusedRound;
+    if (config.useTraceReplay) {
+        std::vector<std::pair<RefEval, OptEval>> fused = support::runBatch(
+            numTests,
+            [&](std::size_t i) {
+                dyn::InvariantChecker checker(module, invariants,
+                                              checkerConfig);
+                std::vector<FtRun> runs = replayFastTrack(
+                    module, *traces[i], {&fullPlan, &hybridPlan, &optPlan},
+                    &checker);
+                return std::pair<RefEval, OptEval>{
+                    {std::move(runs[0]), std::move(runs[1])},
+                    judge(std::move(runs[2]), checker)};
+            },
+            config.threads);
+        for (std::size_t i = 0; i < numTests; ++i) {
+            refs[i] = std::move(fused[i].first);
+            fusedRound.push_back(std::move(fused[i].second));
+        }
+    } else {
+        refs = support::runBatch(
+            numTests,
+            [&](std::size_t i) {
+                RefEval ref;
+                ref.full = runFastTrack(module, workload.testingSet[i],
+                                        fullPlan);
+                ref.hybrid = runFastTrack(module, workload.testingSet[i],
+                                          hybridPlan);
+                return ref;
+            },
+            config.threads);
+    }
+
     std::vector<OptEval> opts(numTests);
     const RecoveryBreaker breaker{config.maxRepredications,
                                   config.misspecRateThreshold,
@@ -531,34 +611,28 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
             break;
         }
         const std::size_t start = next;
-        const std::vector<OptEval> round = support::runBatch(
-            numTests - start,
-            [&](std::size_t k) {
-                const std::size_t i = start + k;
-                OptEval eval;
-                dyn::InvariantChecker checker(module, invariants,
-                                              checkerConfig);
-                eval.optimistic =
-                    config.useTraceReplay
-                        ? replayFastTrack(module, *traces[i], optPlan,
-                                          &checker)
-                        : runFastTrack(module, workload.testingSet[i],
-                                       optPlan, &checker);
-                if (optFtShouldRollBack(
-                        eval.optimistic.violated,
-                        !eval.optimistic.races.empty(),
-                        !invariants.elidableLockSites.empty())) {
-                    eval.rolledBack = true;
-                    if (checker.violated()) {
-                        eval.violation = checker.violation();
-                    } else {
-                        eval.violation.family =
-                            dyn::ViolationFamily::ElidedLockRace;
-                    }
-                }
-                return eval;
-            },
-            config.threads);
+        std::vector<OptEval> round;
+        if (!fusedRound.empty()) {
+            round.swap(fusedRound); // evaluated in the fused pass
+        } else {
+            round = support::runBatch(
+                numTests - start,
+                [&](std::size_t k) {
+                    const std::size_t i = start + k;
+                    dyn::InvariantChecker checker(module, invariants,
+                                                  checkerConfig);
+                    return judge(
+                        config.useTraceReplay
+                            ? std::move(replayFastTrack(module, *traces[i],
+                                                        {&optPlan},
+                                                        &checker)
+                                            .front())
+                            : runFastTrack(module, workload.testingSet[i],
+                                           optPlan, &checker),
+                        checker);
+                },
+                config.threads);
+        }
 
         next = numTests;
         for (std::size_t k = 0; k < round.size(); ++k) {

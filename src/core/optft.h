@@ -62,9 +62,11 @@ struct OptFtConfig
      *  calibration) input once with a TraceRecorder, then drive the
      *  full/hybrid/optimistic FastTrack configurations — and the
      *  rollback re-analysis — from TraceReplayer instead of
-     *  re-interpreting.  All reported results are byte-identical to
-     *  the direct path; only interpretedSteps/replayedEvents (and
-     *  wall-clock time) differ. */
+     *  re-interpreting, all three in one decode pass per capture
+     *  (later adaptive rounds replay the optimistic configuration
+     *  alone).  All reported results are byte-identical to the direct
+     *  path; only interpretedSteps/replayedEvents (and wall-clock
+     *  time) differ. */
     bool useTraceReplay = true;
     /** With useTraceReplay: serve captures from the shared
      *  cross-request cache (exec/trace_cache.h) instead of recording

@@ -286,33 +286,64 @@ runGiri(const ir::Module &module, const exec::ExecConfig &config,
     return out;
 }
 
-/** Same slicing run, driven from a recorded trace instead of a live
- *  interpreter (record-once/analyze-many).  Byte-identical results.
- *  The trace is read-only, so many tasks may replay it concurrently. */
-GiriRun
+/** One Giri slicer of a replay group: its plan and endpoint. */
+struct SliceTarget
+{
+    const exec::InstrumentationPlan *plan;
+    InstrId endpoint;
+};
+
+/** Slicing runs driven from a recorded trace instead of a live
+ *  interpreter (record-once/analyze-many), all in one decode pass:
+ *  each entry of @p groups is one replay group of Giri slicers, and
+ *  @p checker (when given) joins the last group, shared by its
+ *  slicers.  Returns one GiriRun per slicer, byte-identical to a live
+ *  run of that slicer alone (with its own checker, for the last
+ *  group).  The trace is read-only, so many tasks may replay it
+ *  concurrently. */
+std::vector<std::vector<GiriRun>>
 replayGiri(const ir::Module &module, const exec::RecordedTrace &trace,
-           const exec::InstrumentationPlan &plan,
-           const std::vector<InstrId> &endpoints,
+           const std::vector<std::vector<SliceTarget>> &groups,
            dyn::InvariantChecker *checker = nullptr)
 {
-    GiriRun out;
-    dyn::GiriSlicer tool(module);
+    std::vector<std::vector<std::unique_ptr<dyn::GiriSlicer>>> tools(
+        groups.size());
     exec::TraceReplayer replayer(module, trace);
-    replayer.attach(&tool, &plan);
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+        if (g > 0)
+            replayer.addGroup();
+        for (const SliceTarget &target : groups[g]) {
+            tools[g].push_back(std::make_unique<dyn::GiriSlicer>(module));
+            replayer.attach(tools[g].back().get(), target.plan);
+        }
+    }
     if (checker) {
-        checker->setControl(&replayer);
+        checker->setControl(&replayer.control(groups.size() - 1));
         replayer.attach(checker, &checker->plan());
     }
-    out.result = replayer.run();
-    for (InstrId endpoint : endpoints)
-        out.slices[endpoint] = tool.slice(endpoint);
-    out.delivered = out.result.delivered[0];
-    if (checker) {
-        out.checkerDelivered = out.result.delivered[1];
-        out.slowChecks = checker->slowContextChecks();
-        out.violated = checker->violated();
+    const std::vector<exec::RunResult> results = replayer.runGroups();
+
+    std::vector<std::vector<GiriRun>> out(groups.size());
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+        const bool checked = checker && g + 1 == groups.size();
+        for (std::size_t k = 0; k < groups[g].size(); ++k) {
+            const dyn::GiriSlicer &tool = *tools[g][k];
+            GiriRun run;
+            run.result = results[g];
+            run.result.delivered = {results[g].delivered[k]};
+            run.delivered = results[g].delivered[k];
+            if (checked) {
+                run.checkerDelivered = results[g].delivered.back();
+                run.result.delivered.push_back(run.checkerDelivered);
+                run.slowChecks = checker->slowContextChecks();
+                run.violated = checker->violated();
+            }
+            const InstrId endpoint = groups[g][k].endpoint;
+            run.slices[endpoint] = tool.slice(endpoint);
+            run.missingDeps = tool.missingDependencies();
+            out[g].push_back(std::move(run));
+        }
     }
-    out.missingDeps = tool.missingDependencies();
     return out;
 }
 
@@ -470,10 +501,10 @@ runOptSlice(const workloads::Workload &workload,
 
     // Record-once mode: capture every testing input's trace exactly
     // once, up front.  The traces are immutable afterwards, so the
-    // per-(input, endpoint) tasks below replay them concurrently
-    // without synchronization.  With cacheTraceCaptures the captures
-    // come from (and feed) the shared cross-request cache, so a warm
-    // service request skips even the one recording execution.
+    // passes below replay them concurrently without synchronization.
+    // With cacheTraceCaptures the captures come from (and feed) the
+    // shared cross-request cache, so a warm service request skips
+    // even the one recording execution.
     std::vector<std::shared_ptr<const exec::RecordedTrace>> traces;
     if (config.useTraceReplay) {
         traces = support::runBatch(
@@ -491,27 +522,12 @@ runOptSlice(const workloads::Workload &workload,
 
     // Every (testing input, endpoint) pair is an independent slicing
     // task, ordered input-major.  The hybrid references do not depend
-    // on the speculative plans, so they are evaluated once per task up
-    // front; each reference doubles as the deterministic rollback
+    // on the speculative plans, so they are evaluated once per task;
+    // each reference doubles as the deterministic rollback
     // re-analysis and as the degraded configuration once the circuit
     // breaker trips.
-    const std::size_t tasks =
-        workload.testingSet.size() * endpoints.size();
-    const std::vector<GiriRun> refs = support::runBatch(
-        tasks,
-        [&](std::size_t task) {
-            const std::size_t e = task % endpoints.size();
-            const std::vector<InstrId> target = {endpoints[e]};
-            if (config.useTraceReplay) {
-                return replayGiri(module,
-                                  *traces[task / endpoints.size()],
-                                  hybridPlans[e], target);
-            }
-            return runGiri(module,
-                           workload.testingSet[task / endpoints.size()],
-                           hybridPlans[e], target);
-        },
-        config.threads);
+    const std::size_t numEndpoints = endpoints.size();
+    const std::size_t tasks = workload.testingSet.size() * numEndpoints;
 
     // Speculative runs, in adaptive rounds (same repair loop as
     // runOptFt): batch the remaining tasks under the current
@@ -528,6 +544,105 @@ runOptSlice(const workloads::Workload &workload,
         bool degraded = false;
         dyn::Violation violation;
     };
+    auto judge = [](GiriRun optimistic,
+                    const dyn::InvariantChecker &checker) {
+        OptEval eval;
+        eval.optimistic = std::move(optimistic);
+        if (eval.optimistic.violated) {
+            eval.rolledBack = true;
+            eval.violation = checker.violation();
+        }
+        return eval;
+    };
+
+    // Record-once rounds: one decode pass per (input, endpoint range)
+    // covers the round's tasks [start, tasks).  The range's optimistic
+    // slicers form one replay group sharing one checker — its plan and
+    // state depend only on (invariants, checkerConfig), so per-slicer
+    // checkers would see identical events and produce identical
+    // counts.  With `refsOut` the pass also evaluates the hybrid
+    // references of the range as a second group.  Ranges are sized so
+    // a pass fits the replayer's attachment limit (E = 3 endpoints:
+    // 3 hybrid + 3 optimistic + 1 checker).
+    auto replayRound = [&](std::size_t start,
+                           std::vector<GiriRun> *refsOut) {
+        const std::size_t perPass =
+            refsOut ? (exec::TraceReplayer::kMaxAttachments - 1) / 2
+                    : exec::TraceReplayer::kMaxAttachments - 1;
+        struct Pass
+        {
+            std::size_t input, firstEndpoint, endEndpoint;
+        };
+        std::vector<Pass> passes;
+        for (std::size_t task = start; task < tasks;) {
+            const std::size_t input = task / numEndpoints;
+            const std::size_t first = task % numEndpoints;
+            const std::size_t end =
+                std::min(numEndpoints, first + perPass);
+            passes.push_back({input, first, end});
+            task = input * numEndpoints + end;
+        }
+        struct PassEval
+        {
+            std::vector<GiriRun> refs;
+            std::vector<OptEval> opts;
+        };
+        std::vector<PassEval> evals = support::runBatch(
+            passes.size(),
+            [&](std::size_t p) {
+                const Pass &pass = passes[p];
+                std::vector<std::vector<SliceTarget>> groups(refsOut ? 2
+                                                                     : 1);
+                for (std::size_t e = pass.firstEndpoint;
+                     e < pass.endEndpoint; ++e) {
+                    if (refsOut)
+                        groups.front().push_back(
+                            {&hybridPlans[e], endpoints[e]});
+                    groups.back().push_back({&optPlans[e], endpoints[e]});
+                }
+                dyn::InvariantChecker checker(module, invariants,
+                                              checkerConfig);
+                std::vector<std::vector<GiriRun>> runs = replayGiri(
+                    module, *traces[pass.input], groups, &checker);
+                PassEval eval;
+                if (refsOut)
+                    eval.refs = std::move(runs.front());
+                for (GiriRun &run : runs.back())
+                    eval.opts.push_back(judge(std::move(run), checker));
+                return eval;
+            },
+            config.threads);
+        std::vector<OptEval> round;
+        for (std::size_t p = 0; p < passes.size(); ++p) {
+            const std::size_t firstTask =
+                passes[p].input * numEndpoints + passes[p].firstEndpoint;
+            for (std::size_t k = 0; k < evals[p].opts.size(); ++k) {
+                if (refsOut)
+                    (*refsOut)[firstTask + k] = std::move(evals[p].refs[k]);
+                round.push_back(std::move(evals[p].opts[k]));
+            }
+        }
+        return round;
+    };
+
+    // In record-once mode the first round's passes evaluate the hybrid
+    // references too.
+    std::vector<GiriRun> refs(tasks);
+    std::vector<OptEval> fusedRound;
+    if (config.useTraceReplay) {
+        fusedRound = replayRound(0, &refs);
+    } else {
+        refs = support::runBatch(
+            tasks,
+            [&](std::size_t task) {
+                const std::size_t e = task % numEndpoints;
+                return runGiri(module,
+                               workload.testingSet[task / numEndpoints],
+                               hybridPlans[e], {endpoints[e]});
+            },
+            config.threads);
+    }
+
     std::vector<OptEval> opts(tasks);
     const RecoveryBreaker breaker{config.maxRepredications,
                                   config.misspecRateThreshold,
@@ -547,31 +662,27 @@ runOptSlice(const workloads::Workload &workload,
             break;
         }
         const std::size_t start = next;
-        const std::vector<OptEval> round = support::runBatch(
-            tasks - start,
-            [&](std::size_t k) {
-                const std::size_t task = start + k;
-                const std::size_t e = task % endpoints.size();
-                const std::vector<InstrId> target = {endpoints[e]};
-                OptEval eval;
-                dyn::InvariantChecker checker(module, invariants,
-                                              checkerConfig);
-                eval.optimistic =
-                    config.useTraceReplay
-                        ? replayGiri(module,
-                                     *traces[task / endpoints.size()],
-                                     optPlans[e], target, &checker)
-                        : runGiri(module,
-                                  workload
-                                      .testingSet[task / endpoints.size()],
-                                  optPlans[e], target, &checker);
-                if (eval.optimistic.violated) {
-                    eval.rolledBack = true;
-                    eval.violation = checker.violation();
-                }
-                return eval;
-            },
-            config.threads);
+        std::vector<OptEval> round;
+        if (!fusedRound.empty()) {
+            round.swap(fusedRound); // evaluated with the references
+        } else if (config.useTraceReplay) {
+            round = replayRound(start, nullptr);
+        } else {
+            round = support::runBatch(
+                tasks - start,
+                [&](std::size_t k) {
+                    const std::size_t task = start + k;
+                    const std::size_t e = task % numEndpoints;
+                    dyn::InvariantChecker checker(module, invariants,
+                                                  checkerConfig);
+                    return judge(
+                        runGiri(module,
+                                workload.testingSet[task / numEndpoints],
+                                optPlans[e], {endpoints[e]}, &checker),
+                        checker);
+                },
+                config.threads);
+        }
 
         next = tasks;
         for (std::size_t k = 0; k < round.size(); ++k) {

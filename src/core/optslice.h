@@ -58,9 +58,11 @@ struct OptSliceConfig
     /** Record-once/analyze-many: execute each testing input once with
      *  a TraceRecorder, then drive every per-endpoint hybrid and
      *  optimistic Giri configuration — and the rollback re-analysis —
-     *  from TraceReplayer.  All reported results are byte-identical
-     *  to the direct path; only interpretedSteps/replayedEvents (and
-     *  wall-clock time) differ. */
+     *  from TraceReplayer, one decode pass per input and round (more
+     *  when the endpoints' slicers exceed one pass's attachments).
+     *  All reported results are byte-identical to the direct path;
+     *  only interpretedSteps/replayedEvents (and wall-clock time)
+     *  differ. */
     bool useTraceReplay = true;
     /** With useTraceReplay: serve captures from the shared
      *  cross-request cache (exec/trace_cache.h) instead of recording

@@ -23,6 +23,7 @@ namespace {
 // replays) rather than O(trace size).
 std::atomic<std::size_t> g_mappedNow{0};
 std::atomic<std::size_t> g_mappedPeak{0};
+std::atomic<std::uint64_t> g_replayPasses{0};
 
 void
 accountMap(std::size_t bytes)
@@ -63,6 +64,12 @@ resetMappedTraceBytesPeak()
 {
     g_mappedPeak.store(g_mappedNow.load(std::memory_order_relaxed),
                        std::memory_order_relaxed);
+}
+
+std::uint64_t
+replayPassesNow()
+{
+    return g_replayPasses.load(std::memory_order_relaxed);
 }
 
 } // namespace testing
@@ -702,35 +709,89 @@ recordRun(const ir::Module &module, const ExecConfig &config,
 
 // ------------------------------------------------------------------ replay
 
+TraceReplayer::TraceReplayer(const ir::Module &module,
+                             const RecordedTrace &trace)
+    : module_(module), trace_(trace)
+{
+    groups_.push_back(std::make_unique<Group>(abortPending_));
+}
+
+TraceReplayer::~TraceReplayer() = default;
+
+void
+TraceReplayer::attach(Tool *tool, const InstrumentationPlan *plan)
+{
+    OHA_ASSERT(tool && plan);
+    attachments_.push_back({tool, plan, groups_.size() - 1});
+}
+
+std::size_t
+TraceReplayer::addGroup()
+{
+    groups_.push_back(std::make_unique<Group>(abortPending_));
+    return groups_.size() - 1;
+}
+
+ExecutionControl &
+TraceReplayer::control(std::size_t group)
+{
+    OHA_ASSERT(group < groups_.size());
+    if (group == 0)
+        return *this;
+    return *groups_[group];
+}
+
 void
 TraceReplayer::requestAbort(std::string reason)
 {
-    if (!abortRequested_) {
-        abortRequested_ = true;
-        abortReason_ = std::move(reason);
-    }
+    groups_[0]->requestAbort(std::move(reason));
 }
 
 void
 TraceReplayer::requestAbort(std::string reason, const AbortMetadata &meta)
 {
-    if (!abortRequested_) {
-        abortMeta_ = meta;
-        requestAbort(std::move(reason));
+    groups_[0]->requestAbort(std::move(reason), meta);
+}
+
+void
+TraceReplayer::Group::requestAbort(std::string abortReason)
+{
+    if (!requested) {
+        requested = true;
+        reason = std::move(abortReason);
+        anyPending_ = true;
+    }
+}
+
+void
+TraceReplayer::Group::requestAbort(std::string abortReason,
+                                   const AbortMetadata &abortMeta)
+{
+    if (!requested) {
+        meta = abortMeta;
+        requestAbort(std::move(abortReason));
     }
 }
 
 RunResult
 TraceReplayer::run()
 {
-    RunResult result;
-    result.delivered.assign(attachments_.size(), EventCounts{});
+    OHA_ASSERT(groups_.size() == 1, "run() replays one group");
+    return std::move(runGroups().front());
+}
+
+std::vector<RunResult>
+TraceReplayer::runGroups()
+{
+    g_replayPasses.fetch_add(1, std::memory_order_relaxed);
+    const std::size_t numGroups = groups_.size();
+    std::vector<RunResult> results(numGroups);
 
     // Same per-site dispatch snapshot as Interpreter::run(): low byte
     // = attachment cover bits, high byte = event class.
     const std::size_t numInstrs = module_.numInstrs();
     const std::size_t numBlocks = module_.numBlocks();
-    OHA_ASSERT(attachments_.size() <= 8,
+    OHA_ASSERT(attachments_.size() <= kMaxAttachments,
                "dispatch masks hold at most 8 attachments");
     std::vector<std::uint16_t> dispatch(numInstrs);
     for (InstrId id = 0; id < numInstrs; ++id) {
@@ -739,16 +800,22 @@ TraceReplayer::run()
             << 8);
     }
     std::vector<std::uint8_t> blockMask(numBlocks, 0);
+    // groupBits[g]: the dispatch bits of group g's attachments.
+    std::vector<std::uint8_t> groupBits(numGroups, 0);
     for (std::size_t i = 0; i < attachments_.size(); ++i) {
         const InstrumentationPlan &plan = *attachments_[i].plan;
-        const auto bit = static_cast<std::uint16_t>(1u << i);
+        const auto bit = static_cast<std::uint8_t>(1u << i);
+        groupBits[attachments_[i].group] |= bit;
         for (InstrId id = 0; id < numInstrs; ++id)
             if (plan.coversInstr(id))
                 dispatch[id] |= bit;
         for (BlockId id = 0; id < numBlocks; ++id)
             if (plan.coversBlock(id))
-                blockMask[id] |= static_cast<std::uint8_t>(1u << i);
+                blockMask[id] |= bit;
     }
+    // Attachments of groups still running.  A stopped group's bits are
+    // cleared, so every dispatch below skips its tools.
+    auto active = static_cast<std::uint8_t>((1u << attachments_.size()) - 1);
 
     // Shadow call stacks: the interpreter assigns frame ids globally
     // sequentially from 1 (main's root first), and the record stream
@@ -762,16 +829,43 @@ TraceReplayer::run()
     std::vector<std::vector<SimFrame>> stacks;
     std::uint64_t nextFrameId = 1;
 
-    const TraceStore &store = trace_.events;
+    // Stream-wide accounting; a group that stops takes a snapshot.
+    EventCounts totalEvents;
+    std::vector<EventCounts> delivered(attachments_.size());
+    std::vector<std::pair<InstrId, std::int64_t>> outputs;
     std::uint64_t stepsStarted = 0;
     std::uint32_t numThreads = 0;
-    bool truncated = false;
+    std::vector<bool> stopped(numGroups, false);
+    std::vector<std::size_t> outputsAtStop(numGroups, 0);
+    std::size_t running = numGroups;
+
+    // Freeze every group whose abort is pending: a live run honours
+    // an abort at the next instruction boundary (the aborting
+    // instruction completes all its deliveries), which is where this
+    // is called — so the frozen result is the solo aborted replay's.
+    auto stopAbortedGroups = [&] {
+        abortPending_ = false;
+        for (std::size_t g = 0; g < numGroups; ++g) {
+            if (stopped[g] || !groups_[g]->requested)
+                continue;
+            stopped[g] = true;
+            --running;
+            active &= static_cast<std::uint8_t>(~groupBits[g]);
+            RunResult &result = results[g];
+            result.steps = stepsStarted;
+            result.totalEvents = totalEvents;
+            result.numThreads = numThreads;
+            outputsAtStop[g] = outputs.size();
+        }
+    };
+
+    const TraceStore &store = trace_.events;
 
     // Segments decode standalone (delta chains restart per segment);
     // a spilled segment is mapped only while its cursor lives, so
     // peak resident trace bytes track the segment size, not the
     // trace size.
-    for (std::size_t seg = 0; seg < store.numSegments() && !truncated;
+    for (std::size_t seg = 0; seg < store.numSegments() && running > 0;
          ++seg) {
         const bool hasValues =
             store.header(seg).flags & SegmentHeader::kFlagHasValues;
@@ -783,14 +877,13 @@ TraceReplayer::run()
         while (!reader.atEnd()) {
             const std::uint8_t header = reader.byte();
             const std::uint8_t kind = header & 3;
-            // Step flag: this record begins a new guest instruction.
-            // A live run honours an abort at the next instruction
-            // boundary (the aborting instruction completes all its
-            // deliveries); stopping here reproduces that exactly.
+            // Step flag: this record begins a new guest instruction,
+            // the boundary at which pending aborts take effect.
             if (header & 4) {
-                if (abortRequested_) {
-                    truncated = true;
-                    break;
+                if (abortPending_) {
+                    stopAbortedGroups();
+                    if (running == 0)
+                        break;
                 }
                 ++stepsStarted;
             }
@@ -804,9 +897,10 @@ TraceReplayer::run()
                 const auto id = static_cast<InstrId>(prevInstr);
                 const ir::Instruction &ins = module_.instr(id);
                 const std::uint16_t disp = dispatch[id];
-                auto evMask = static_cast<std::uint8_t>(disp & 0xff);
+                const auto evMask =
+                    static_cast<std::uint8_t>(disp & active);
                 const auto cls = static_cast<EventClass>(disp >> 8);
-                ++result.totalEvents[cls];
+                ++totalEvents[cls];
 
                 // Decode the payload into locals first: most records
                 // are not covered by any attached plan, and for those
@@ -845,7 +939,7 @@ TraceReplayer::run()
                     otherTid = static_cast<ThreadId>(reader.varint());
                     break;
                   case ir::Opcode::Output:
-                    result.outputs.push_back({ins.id, reader.zigzag()});
+                    outputs.push_back({ins.id, reader.zigzag()});
                     break;
                   default:
                     break;
@@ -883,7 +977,7 @@ TraceReplayer::run()
                          mask &= static_cast<std::uint8_t>(mask - 1)) {
                         const unsigned i =
                             static_cast<unsigned>(std::countr_zero(mask));
-                        ++result.delivered[i][cls];
+                        ++delivered[i][cls];
                         attachments_[i].tool->onEvent(ctx);
                     }
                 }
@@ -902,12 +996,13 @@ TraceReplayer::run()
               case TraceRecorder::kBlockEnter: {
                 prevBlock += reader.zigzag();
                 const auto block = static_cast<BlockId>(prevBlock);
-                ++result.totalEvents[EventClass::BlockEnter];
-                for (std::uint8_t mask = blockMask[block]; mask;
-                     mask &= static_cast<std::uint8_t>(mask - 1)) {
+                ++totalEvents[EventClass::BlockEnter];
+                for (auto mask =
+                         static_cast<std::uint8_t>(blockMask[block] & active);
+                     mask; mask &= static_cast<std::uint8_t>(mask - 1)) {
                     const unsigned i =
                         static_cast<unsigned>(std::countr_zero(mask));
-                    ++result.delivered[i][EventClass::BlockEnter];
+                    ++delivered[i][EventClass::BlockEnter];
                     attachments_[i].tool->onBlockEnter(tid, block);
                 }
                 break;
@@ -923,39 +1018,59 @@ TraceReplayer::run()
                     stacks.resize(tid + 1);
                 stacks[tid].push_back({nextFrameId++, nullptr});
                 ++numThreads;
-                for (const Attachment &attachment : attachments_)
-                    attachment.tool->onThreadStart(tid, parent, spawnSite);
+                for (std::uint8_t mask = active; mask;
+                     mask &= static_cast<std::uint8_t>(mask - 1)) {
+                    attachments_[std::countr_zero(mask)]
+                        .tool->onThreadStart(tid, parent, spawnSite);
+                }
                 break;
               }
               case TraceRecorder::kThreadFinish: {
-                for (const Attachment &attachment : attachments_)
-                    attachment.tool->onThreadFinish(tid);
+                for (std::uint8_t mask = active; mask;
+                     mask &= static_cast<std::uint8_t>(mask - 1)) {
+                    attachments_[std::countr_zero(mask)]
+                        .tool->onThreadFinish(tid);
+                }
                 break;
               }
             }
         }
     }
 
-    result.numThreads = numThreads;
-    if (abortRequested_) {
-        // Aborted mid-replay (whether or not records remained): a
-        // live run would finish the aborting instruction and stop at
-        // the top of the scheduler loop with exactly this step count.
-        (void)truncated;
-        result.status = RunResult::Status::Aborted;
-        result.abortReason = abortReason_;
-        result.abortMeta = abortMeta_;
-        result.steps = stepsStarted;
-    } else {
-        result.status = trace_.result.status;
-        result.abortReason = trace_.result.abortReason;
-        result.abortMeta = trace_.result.abortMeta;
-        result.steps = trace_.result.steps;
-        result.schedule = trace_.result.schedule;
-        OHA_ASSERT(stepsStarted == trace_.result.steps,
-                   "trace step flags diverge from recorded step count");
+    // An abort requested after the last step flag still ends its
+    // group as Aborted, with every step counted — as a live run that
+    // aborts during its final instruction does.
+    if (abortPending_)
+        stopAbortedGroups();
+
+    for (std::size_t g = 0; g < numGroups; ++g) {
+        RunResult &result = results[g];
+        const Group &group = *groups_[g];
+        if (stopped[g]) {
+            result.status = RunResult::Status::Aborted;
+            result.abortReason = group.reason;
+            result.abortMeta = group.meta;
+            result.outputs.assign(outputs.begin(),
+                                  outputs.begin() +
+                                      static_cast<std::ptrdiff_t>(
+                                          outputsAtStop[g]));
+        } else {
+            result.status = trace_.result.status;
+            result.abortReason = trace_.result.abortReason;
+            result.abortMeta = trace_.result.abortMeta;
+            result.steps = trace_.result.steps;
+            result.schedule = trace_.result.schedule;
+            result.totalEvents = totalEvents;
+            result.numThreads = numThreads;
+            result.outputs = outputs;
+            OHA_ASSERT(stepsStarted == trace_.result.steps,
+                       "trace step flags diverge from recorded step count");
+        }
+        for (std::size_t i = 0; i < attachments_.size(); ++i)
+            if (attachments_[i].group == g)
+                result.delivered.push_back(delivered[i]);
     }
-    return result;
+    return results;
 }
 
 // ----------------------------------------------------------------- testing
@@ -966,7 +1081,7 @@ std::size_t
 byteOffsetAfterStep(const ir::Module &module, const TraceStore &store,
                     std::uint64_t step)
 {
-    // Record-skipping decode: same framing as TraceReplayer::run()
+    // Record-skipping decode: same framing as TraceReplayer::runGroups()
     // minus dispatch.  Offsets are relative to the concatenated
     // stream so the result is usable as a spill threshold.
     std::size_t base = 0;

@@ -10,9 +10,22 @@
  * function of (module, input, schedule seed) and tools never perturb
  * it — so the pipeline executes an input once with a TraceRecorder
  * sink that captures the complete analysis-relevant event stream,
- * then drives any number of analysis configurations from a
- * TraceReplayer that performs only decode + plan filtering + tool
- * dispatch.
+ * then drives its analysis configurations from a TraceReplayer that
+ * performs only decode + plan filtering + tool dispatch.
+ *
+ * One decode pass per capture: the configurations a pipeline
+ * evaluates together on one input (OptFT's full, hybrid and
+ * optimistic+checker FastTrack; OptSlice's hybrid and optimistic
+ * slicers) attach to one replayer as separate *groups* and share a
+ * single pass over the stream.  Groups are independent: a checker
+ * aborts only its own group, which stops at the next step flag — the
+ * instruction boundary where a solo replay of that group stops — with
+ * its RunResult frozen there, while the other groups run on.  Groups
+ * that watch the same invariants under the same checker
+ * configuration may share one checker (OptSlice's per-endpoint
+ * optimistic slicers do): the checker's plan and state depend only
+ * on (invariants, checker configuration), so per-slicer checkers
+ * would see identical events and abort at the same boundary.
  *
  * Storage model: the stream is a sequence of immutable *segments*.
  * Capture appends into an open arena-backed TraceBuffer; when the
@@ -25,10 +38,10 @@
  * spilled segments through per-cursor read-only mmap windows — one
  * segment mapped at a time per replay — so peak resident trace bytes
  * are O(segment size × concurrent replays), not O(trace size).
- * Segments are immutable after close: any number of replays (one per
- * tool configuration) may read one capture concurrently.  The stream
- * is the capture's only encoding, and TraceReplayer::run() is the
- * only replay loop over it.
+ * Segments are immutable after close: any number of replays may read
+ * one capture concurrently.  The stream is the capture's only
+ * encoding, and TraceReplayer::runGroups() is the only replay loop
+ * over it.
  *
  * Encoding (varint/zigzag-delta, one record per fired event):
  *
@@ -823,27 +836,53 @@ RecordedTrace recordRun(const ir::Module &module, const ExecConfig &config,
  * aborted run.  A full (un-aborted) replay reports the recorded run's
  * status — including Aborted/StepLimit when the *recording* itself
  * was truncated.
+ *
+ * Groups: one replayer can drive several independent analysis
+ * configurations from a single decode pass.  Attachments join the
+ * newest group (group 0 exists from construction; addGroup() opens
+ * the next).  Each group aborts on its own through control(g): at the
+ * next step flag — exactly where a solo replay of that group would
+ * stop — the group's RunResult is frozen and its attachments receive
+ * nothing more, while the other groups keep running.  The pass ends
+ * early once every group has stopped.  runGroups() returns one
+ * RunResult per group, each equal field by field to a solo replay of
+ * that group's attachments; run() is the one-group case.
  */
 class TraceReplayer : public ExecutionControl
 {
   public:
-    TraceReplayer(const ir::Module &module, const RecordedTrace &trace)
-        : module_(module), trace_(trace)
-    {
-    }
+    TraceReplayer(const ir::Module &module, const RecordedTrace &trace);
+    ~TraceReplayer() override;
 
-    /** Attach a tool filtered by @p plan (same contract as
-     *  Interpreter::attach). */
-    void
-    attach(Tool *tool, const InstrumentationPlan *plan)
-    {
-        OHA_ASSERT(tool && plan);
-        attachments_.push_back({tool, plan});
-    }
+    TraceReplayer(const TraceReplayer &) = delete;
+    TraceReplayer &operator=(const TraceReplayer &) = delete;
 
-    /** Replay the recorded stream through the attached tools. */
+    /** Attachments per replayer, across all groups: the dispatch
+     *  masks are one byte. */
+    static constexpr std::size_t kMaxAttachments = 8;
+
+    /** Attach a tool filtered by @p plan to the newest group (same
+     *  contract as Interpreter::attach). */
+    void attach(Tool *tool, const InstrumentationPlan *plan);
+
+    /** Open a new configuration group; later attach() calls join it.
+     *  Returns the group's index. */
+    std::size_t addGroup();
+
+    /** Abort surface of group @p group.  A tool aborting through it
+     *  stops only that group.  Group 0's control is the replayer
+     *  itself. */
+    ExecutionControl &control(std::size_t group);
+
+    /** Replay the recorded stream once through every group; one
+     *  RunResult per group, in group order. */
+    std::vector<RunResult> runGroups();
+
+    /** Replay the recorded stream through the attached tools (one
+     *  group). */
     RunResult run();
 
+    /** Abort group 0. */
     void requestAbort(std::string reason) override;
     void requestAbort(std::string reason,
                       const AbortMetadata &meta) override;
@@ -853,15 +892,34 @@ class TraceReplayer : public ExecutionControl
     {
         Tool *tool;
         const InstrumentationPlan *plan;
+        std::size_t group;
+    };
+
+    /** One group's abort request; the first request wins. */
+    class Group final : public ExecutionControl
+    {
+      public:
+        explicit Group(bool &anyPending) : anyPending_(anyPending) {}
+        Group(const Group &) = delete;
+        Group &operator=(const Group &) = delete;
+
+        void requestAbort(std::string reason) override;
+        void requestAbort(std::string reason,
+                          const AbortMetadata &meta) override;
+
+        bool requested = false;
+        std::string reason;
+        AbortMetadata meta;
+
+      private:
+        bool &anyPending_; ///< replayer-wide "check at next step flag"
     };
 
     const ir::Module &module_;
     const RecordedTrace &trace_;
     std::vector<Attachment> attachments_;
-
-    bool abortRequested_ = false;
-    std::string abortReason_;
-    AbortMetadata abortMeta_;
+    std::vector<std::unique_ptr<Group>> groups_;
+    bool abortPending_ = false;
 };
 
 namespace testing {
@@ -871,6 +929,10 @@ std::size_t mappedTraceBytesNow();
 /** High-water mark of mappedTraceBytesNow() since the last reset. */
 std::size_t mappedTraceBytesPeak();
 void resetMappedTraceBytesPeak();
+
+/** Replay passes (TraceReplayer::runGroups calls, one decode of a
+ *  capture each) started in this process. */
+std::uint64_t replayPassesNow();
 
 /** Byte offset within the concatenated encoded stream immediately
  *  after the last record of 1-based step @p step — i.e. a spill

@@ -10,6 +10,11 @@
  *     statically-reported may-race pair;
  *  3. static slice soundness: every dynamic slice is contained in the
  *     sound static slice of its endpoint.
+ *
+ * Each property is a claim about any program, so each runs on every
+ * workload of both suites: slice soundness is also checked on the
+ * multithreaded race programs, and race soundness on the slicing
+ * suite.
  */
 
 #include <gtest/gtest.h>
@@ -149,8 +154,6 @@ TEST_P(WorkloadSoundness, DynamicAccessesWithinStaticPointsTo)
 TEST_P(WorkloadSoundness, ObservedRacesAreStaticallyReported)
 {
     const auto workload = load(GetParam());
-    if (!workload.race)
-        GTEST_SKIP() << "race property applies to the race suite";
     const ir::Module &module = *workload.module;
 
     const auto staticResult =
@@ -173,8 +176,6 @@ TEST_P(WorkloadSoundness, ObservedRacesAreStaticallyReported)
 TEST_P(WorkloadSoundness, DynamicSlicesWithinSoundStaticSlices)
 {
     const auto workload = load(GetParam());
-    if (workload.race)
-        GTEST_SKIP() << "slice property applies to the slicing suite";
     const ir::Module &module = *workload.module;
 
     const auto pts = analysis::runAndersen(module, {});

@@ -13,6 +13,12 @@
  * Also covers the capture/replay edge cases: recordings truncated by
  * an abort or a step limit, and empty testing sets; plus the OptFT
  * rollback-trigger contract (optFtShouldRollBack).
+ *
+ * ReplayGroups: one decode pass driving several configuration groups
+ * must equal solo replays of each group, field by field — including
+ * groups that abort mid-stream, during the final instruction, or all
+ * at once — and the pipelines must decode each capture once per
+ * round.
  */
 
 #include <gtest/gtest.h>
@@ -22,15 +28,18 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/race_detector.h"
 #include "core/optft.h"
 #include "core/optslice.h"
 #include "dyn/fasttrack.h"
+#include "dyn/fault_injector.h"
 #include "dyn/giri.h"
 #include "dyn/invariant_checker.h"
 #include "dyn/plans.h"
 #include "exec/trace.h"
 #include "ir/builder.h"
 #include "profile/profiler.h"
+#include "program_gen.h"
 #include "workloads/workloads.h"
 
 namespace oha {
@@ -513,6 +522,513 @@ TEST(PipelineParity, OptSliceReplayMatchesDirectAt1And4Threads)
                 << label;
         }
     }
+}
+
+// ------------------------------------------------------------ groups
+
+/** Aborts its group at the k-th delivered event (events and block
+ *  entries, 1-based; 0 = never) and logs the thread callbacks it
+ *  receives. */
+class AbortAtTool : public exec::Tool
+{
+  public:
+    explicit AbortAtTool(std::uint64_t k) : k_(k) {}
+
+    void setControl(exec::ExecutionControl *control) { control_ = control; }
+
+    void onEvent(const exec::EventCtx &) override { tick(); }
+    void onBlockEnter(ThreadId, BlockId) override { tick(); }
+
+    void
+    onThreadStart(ThreadId tid, ThreadId, InstrId) override
+    {
+        threadLog.push_back({tid, true});
+    }
+
+    void
+    onThreadFinish(ThreadId tid) override
+    {
+        threadLog.push_back({tid, false});
+    }
+
+    /** (tid, started?) per thread callback, in delivery order. */
+    std::vector<std::pair<ThreadId, bool>> threadLog;
+
+  private:
+    void
+    tick()
+    {
+        if (++seen_ == k_) {
+            exec::AbortMetadata meta;
+            meta.kind = 7;
+            meta.site = k_;
+            control_->requestAbort("abort at " + std::to_string(k_), meta);
+        }
+    }
+
+    std::uint64_t k_;
+    std::uint64_t seen_ = 0;
+    exec::ExecutionControl *control_ = nullptr;
+};
+
+/** One replay group: FastTrack or Giri tools (one per plan), plus an
+ *  optional shared invariant checker and an optional AbortAtTool. */
+struct GroupSpec
+{
+    bool giri = false;
+    std::vector<const exec::InstrumentationPlan *> plans = {};
+    std::vector<InstrId> endpoints = {}; ///< sliced by every Giri tool
+    const inv::InvariantSet *checkerInvariants = nullptr;
+    std::uint64_t abortAt = 0; ///< 0 = no AbortAtTool
+};
+
+/** Everything observable from one group of a replay pass. */
+struct GroupSnapshot
+{
+    RunSnapshot run; ///< RunResult fields + checker outcome
+    exec::AbortMetadata abortMeta;
+    std::vector<std::set<std::pair<InstrId, InstrId>>> races;
+    std::vector<std::vector<std::set<InstrId>>> slices;
+    std::vector<std::pair<ThreadId, bool>> threadLog;
+};
+
+void
+expectEqual(const GroupSnapshot &solo, const GroupSnapshot &grouped,
+            const std::string &label)
+{
+    expectEqual(solo.run, grouped.run, label);
+    EXPECT_EQ(solo.abortMeta, grouped.abortMeta) << label;
+    EXPECT_EQ(solo.races, grouped.races) << label;
+    EXPECT_EQ(solo.slices, grouped.slices) << label;
+    EXPECT_EQ(solo.threadLog, grouped.threadLog) << label;
+}
+
+/** Replay @p trace once with every spec of @p specs as one group. */
+std::vector<GroupSnapshot>
+replayGroups(const ir::Module &module, const exec::RecordedTrace &trace,
+             const std::vector<GroupSpec> &specs)
+{
+    const auto allPlan = exec::InstrumentationPlan::all(module);
+    std::vector<std::vector<std::unique_ptr<dyn::FastTrack>>> fts(
+        specs.size());
+    std::vector<std::vector<std::unique_ptr<dyn::GiriSlicer>>> giris(
+        specs.size());
+    std::vector<std::unique_ptr<dyn::InvariantChecker>> checkers(
+        specs.size());
+    std::vector<std::unique_ptr<AbortAtTool>> aborters(specs.size());
+
+    exec::TraceReplayer replayer(module, trace);
+    for (std::size_t g = 0; g < specs.size(); ++g) {
+        const GroupSpec &spec = specs[g];
+        if (g > 0) {
+            EXPECT_EQ(replayer.addGroup(), g);
+        }
+        for (const exec::InstrumentationPlan *plan : spec.plans) {
+            if (spec.giri) {
+                giris[g].push_back(
+                    std::make_unique<dyn::GiriSlicer>(module));
+                replayer.attach(giris[g].back().get(), plan);
+            } else {
+                fts[g].push_back(std::make_unique<dyn::FastTrack>());
+                replayer.attach(fts[g].back().get(), plan);
+            }
+        }
+        if (spec.checkerInvariants) {
+            checkers[g] = std::make_unique<dyn::InvariantChecker>(
+                module, *spec.checkerInvariants, dyn::CheckerConfig{});
+            checkers[g]->setControl(&replayer.control(g));
+            replayer.attach(checkers[g].get(), &checkers[g]->plan());
+        }
+        if (spec.abortAt) {
+            aborters[g] = std::make_unique<AbortAtTool>(spec.abortAt);
+            aborters[g]->setControl(&replayer.control(g));
+            replayer.attach(aborters[g].get(), &allPlan);
+        }
+    }
+    const std::vector<exec::RunResult> results = replayer.runGroups();
+    EXPECT_EQ(results.size(), specs.size());
+
+    std::vector<GroupSnapshot> out(specs.size());
+    for (std::size_t g = 0; g < specs.size(); ++g) {
+        GroupSnapshot &snap = out[g];
+        fillCommon(snap.run, results[g]);
+        snap.abortMeta = results[g].abortMeta;
+        for (const auto &ft : fts[g])
+            snap.races.push_back(ft->racePairs());
+        for (const auto &giri : giris[g]) {
+            snap.slices.emplace_back();
+            for (InstrId endpoint : specs[g].endpoints)
+                snap.slices.back().push_back(giri->slice(endpoint));
+        }
+        if (checkers[g]) {
+            snap.run.violated = checkers[g]->violated();
+            snap.run.slowChecks = checkers[g]->slowContextChecks();
+        }
+        if (aborters[g])
+            snap.threadLog = aborters[g]->threadLog;
+    }
+    return out;
+}
+
+/** Replay @p specs grouped and each spec solo; expect every group to
+ *  equal its solo replay.  Returns the grouped snapshots. */
+std::vector<GroupSnapshot>
+expectGroupsMatchSolo(const ir::Module &module,
+                      const exec::RecordedTrace &trace,
+                      const std::vector<GroupSpec> &specs,
+                      const std::string &label)
+{
+    const std::uint64_t passesBefore = exec::testing::replayPassesNow();
+    std::vector<GroupSnapshot> grouped =
+        replayGroups(module, trace, specs);
+    EXPECT_EQ(exec::testing::replayPassesNow(), passesBefore + 1) << label;
+    for (std::size_t g = 0; g < specs.size(); ++g) {
+        const GroupSnapshot solo =
+            replayGroups(module, trace, {specs[g]}).front();
+        expectEqual(solo, grouped[g],
+                    label + " group " + std::to_string(g));
+    }
+    return grouped;
+}
+
+/** Events an AbortAtTool under the all-plan would see in a full
+ *  replay of @p trace. */
+std::uint64_t
+allPlanEvents(const ir::Module &module, const exec::RecordedTrace &trace)
+{
+    const GroupSnapshot full =
+        replayGroups(module, trace, {GroupSpec{}})
+            .front();
+    std::uint64_t events = 0;
+    for (std::uint64_t count : full.run.totalEvents)
+        events += count;
+    return events;
+}
+
+TEST(ReplayGroups, RaceWorkloadsMatchSoloReplays)
+{
+    std::size_t aborted = 0;
+    for (const auto &name : workloads::raceWorkloadNames()) {
+        const auto workload = workloads::makeRaceWorkload(name, 2, 3);
+        const ir::Module &module = *workload.module;
+        const auto invariants = profiled(module, workload.profilingSet);
+        const auto sound = analysis::runStaticRaceDetector(module, nullptr);
+        const auto predicated =
+            analysis::runStaticRaceDetector(module, &invariants);
+        const auto fullPlan = dyn::fullFastTrackPlan(module);
+        const auto hybridPlan =
+            dyn::hybridFastTrackPlan(module, sound.racyAccesses);
+        const auto optPlan = dyn::optimisticFastTrackPlan(
+            module, predicated.racyAccesses, invariants);
+        // The OptFT pass shape: full, hybrid, optimistic + checker.
+        const std::vector<GroupSpec> specs = {
+            {.plans = {&fullPlan}},
+            {.plans = {&hybridPlan}},
+            {.plans = {&optPlan}, .checkerInvariants = &invariants},
+        };
+        for (const exec::ExecConfig &config : workload.testingSet) {
+            const exec::RecordedTrace trace =
+                exec::recordRun(module, config);
+            const auto grouped =
+                expectGroupsMatchSolo(module, trace, specs, name);
+            aborted += grouped[2].run.violated;
+        }
+    }
+    EXPECT_GT(aborted, 0u) << "no checker aborted; grouped aborts untested";
+}
+
+TEST(ReplayGroups, SliceWorkloadsMatchSoloReplays)
+{
+    std::size_t aborted = 0;
+    for (const auto &name : workloads::sliceWorkloadNames()) {
+        const auto workload = workloads::makeSliceWorkload(name, 2, 3);
+        const ir::Module &module = *workload.module;
+        const auto invariants = profiled(module, workload.profilingSet);
+        const auto plan = dyn::fullGiriPlan(module);
+        std::vector<InstrId> endpoints = outputInstrs(module);
+        endpoints.resize(std::min<std::size_t>(endpoints.size(), 3));
+        // The OptSlice pass shape: a group of hybrid slicers, then a
+        // group of optimistic slicers sharing one checker.
+        const std::vector<GroupSpec> specs = {
+            {.giri = true,
+             .plans = {&plan, &plan, &plan},
+             .endpoints = endpoints},
+            {.giri = true,
+             .plans = {&plan, &plan, &plan},
+             .endpoints = endpoints,
+             .checkerInvariants = &invariants},
+        };
+        for (const exec::ExecConfig &config : workload.testingSet) {
+            const exec::RecordedTrace trace =
+                exec::recordRun(module, config);
+            const auto grouped =
+                expectGroupsMatchSolo(module, trace, specs, name);
+            aborted += grouped[1].run.violated;
+        }
+    }
+    EXPECT_GT(aborted, 0u) << "no checker aborted; grouped aborts untested";
+}
+
+TEST(ReplayGroups, RandomProgramsMatchSoloReplays)
+{
+    std::size_t midStreamAborts = 0;
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+        testing_support::ProgramGen gen(seed * 104729 + 11);
+        const auto module = gen.generate(/*multithreaded=*/seed % 2 == 0);
+        exec::ExecConfig config;
+        config.input = {3, 1, 4, 1, 5, 9, 2, 6};
+        config.scheduleSeed = seed;
+        exec::ExecConfig training;
+        training.input = {0, 0, 0, 0, 0, 0, 0, 0};
+        training.scheduleSeed = seed;
+        const auto invariants = profiled(*module, {training});
+        const auto ftPlan = dyn::fullFastTrackPlan(*module);
+        const auto giriPlan = dyn::fullGiriPlan(*module);
+        const std::vector<InstrId> endpoints = outputInstrs(*module);
+
+        const exec::RecordedTrace trace = exec::recordRun(*module, config);
+        const std::uint64_t events = allPlanEvents(*module, trace);
+        const std::string label = "seed " + std::to_string(seed);
+        const std::vector<GroupSpec> specs = {
+            {.plans = {&ftPlan}},
+            {.giri = true, .plans = {&giriPlan}, .endpoints = endpoints},
+            {.plans = {&ftPlan}, .checkerInvariants = &invariants},
+            {.giri = true,
+             .plans = {&giriPlan},
+             .endpoints = endpoints,
+             .abortAt = 1 + seed % events},
+        };
+        const auto grouped =
+            expectGroupsMatchSolo(*module, trace, specs, label);
+        EXPECT_EQ(grouped[0].run.status,
+                  static_cast<int>(exec::RunResult::Status::Finished))
+            << label;
+        midStreamAborts += grouped[3].run.steps < trace.result.steps;
+    }
+    EXPECT_GT(midStreamAborts, 0u);
+}
+
+TEST(ReplayGroups, OneGroupAbortsMidStreamOthersRunToTheEnd)
+{
+    const auto workload = workloads::makeRaceWorkload("sunflow", 1, 1);
+    const ir::Module &module = *workload.module;
+    const auto plan = dyn::fullFastTrackPlan(module);
+    const exec::RecordedTrace trace =
+        exec::recordRun(module, workload.testingSet.front());
+    const std::uint64_t events = allPlanEvents(module, trace);
+
+    const auto grouped = expectGroupsMatchSolo(
+        module, trace,
+        {{.plans = {&plan}},
+         {.plans = {&plan}, .abortAt = events / 2},
+         {.plans = {&plan}}},
+        "mid-stream abort");
+    EXPECT_EQ(grouped[1].run.status,
+              static_cast<int>(exec::RunResult::Status::Aborted));
+    EXPECT_EQ(grouped[1].abortMeta.site, events / 2);
+    EXPECT_LT(grouped[1].run.steps, trace.result.steps);
+    for (const std::size_t g : {0u, 2u}) {
+        EXPECT_EQ(grouped[g].run.status,
+                  static_cast<int>(trace.result.status));
+        EXPECT_EQ(grouped[g].run.steps, trace.result.steps);
+        EXPECT_EQ(grouped[g].races, grouped[0].races);
+    }
+}
+
+TEST(ReplayGroups, AbortDuringTheFinalInstruction)
+{
+    const auto workload = workloads::makeRaceWorkload("raytracer", 1, 1);
+    const ir::Module &module = *workload.module;
+    const exec::ExecConfig &input = workload.testingSet.front();
+    const auto plan = dyn::fullFastTrackPlan(module);
+    const exec::RecordedTrace trace = exec::recordRun(module, input);
+    const std::uint64_t events = allPlanEvents(module, trace);
+
+    // The last delivered event belongs to the final instruction: the
+    // abort takes effect after the last step flag.
+    const auto grouped = expectGroupsMatchSolo(
+        module, trace,
+        {{.plans = {&plan}}, {.plans = {&plan}, .abortAt = events}},
+        "final-instruction abort");
+    EXPECT_EQ(grouped[1].run.status,
+              static_cast<int>(exec::RunResult::Status::Aborted));
+    EXPECT_EQ(grouped[1].run.steps, trace.result.steps);
+    EXPECT_EQ(grouped[0].run.status,
+              static_cast<int>(exec::RunResult::Status::Finished));
+
+    // And it is the live run's outcome.
+    const auto allPlan = exec::InstrumentationPlan::all(module);
+    dyn::FastTrack tool;
+    AbortAtTool aborter(events);
+    exec::Interpreter interp(module, input);
+    interp.attach(&tool, &plan);
+    aborter.setControl(&interp);
+    interp.attach(&aborter, &allPlan);
+    const exec::RunResult live = interp.run();
+    EXPECT_EQ(live.status, exec::RunResult::Status::Aborted);
+    EXPECT_EQ(live.steps, grouped[1].run.steps);
+    EXPECT_EQ(live.outputs, grouped[1].run.outputs);
+    EXPECT_EQ(eventVec(live.totalEvents), grouped[1].run.totalEvents);
+    EXPECT_EQ(tool.racePairs(), grouped[1].races.front());
+}
+
+TEST(ReplayGroups, EveryGroupAbortsAndThePassEndsEarly)
+{
+    const auto workload = workloads::makeSliceWorkload("zlib", 1, 1);
+    const ir::Module &module = *workload.module;
+    const auto plan = dyn::fullGiriPlan(module);
+    const std::vector<InstrId> endpoints = outputInstrs(module);
+    // Spill into several segments so ending early skips whole ones.
+    exec::TraceStoreOptions options;
+    options.segmentBytes = 4096;
+    const exec::RecordedTrace trace =
+        exec::recordRun(module, workload.testingSet.front(), options);
+    ASSERT_GT(trace.events.numSegments(), 2u);
+    const std::uint64_t events = allPlanEvents(module, trace);
+
+    const auto grouped = expectGroupsMatchSolo(
+        module, trace,
+        {{.giri = true,
+          .plans = {&plan},
+          .endpoints = endpoints,
+          .abortAt = events / 8},
+         {.giri = true,
+          .plans = {&plan},
+          .endpoints = endpoints,
+          .abortAt = events / 4},
+         {.giri = true,
+          .plans = {&plan},
+          .endpoints = endpoints,
+          .abortAt = events / 3}},
+        "all groups abort");
+    std::uint64_t lastSteps = 0;
+    for (const GroupSnapshot &snap : grouped) {
+        EXPECT_EQ(snap.run.status,
+                  static_cast<int>(exec::RunResult::Status::Aborted));
+        EXPECT_GT(snap.run.steps, lastSteps);
+        lastSteps = snap.run.steps;
+    }
+    EXPECT_LT(lastSteps, trace.result.steps);
+}
+
+TEST(ReplayGroups, StoppedGroupGetsNoThreadCallbacks)
+{
+    // Abort one group at its first event: every thread of this
+    // multithreaded workload starts later, so the stopped group must
+    // see main's start only, while a running group sees them all.
+    const auto workload = workloads::makeRaceWorkload("moldyn", 1, 1);
+    const ir::Module &module = *workload.module;
+    const exec::RecordedTrace trace =
+        exec::recordRun(module, workload.testingSet.front());
+    ASSERT_GT(trace.result.numThreads, 1u);
+    const std::uint64_t events = allPlanEvents(module, trace);
+
+    const auto grouped = expectGroupsMatchSolo(
+        module, trace,
+        {{.abortAt = 1}, {.abortAt = events + 1}},
+        "thread callbacks");
+    EXPECT_EQ(grouped[0].threadLog,
+              (std::vector<std::pair<ThreadId, bool>>{{0, true}}));
+    EXPECT_EQ(grouped[1].run.status,
+              static_cast<int>(exec::RunResult::Status::Finished));
+    EXPECT_EQ(grouped[1].threadLog.size(),
+              2 * std::size_t{trace.result.numThreads});
+}
+
+TEST(ReplayGroups, PipelinesDecodeEachCaptureOncePerRound)
+{
+    // Rollback-free runs: OptFT fuses full, hybrid and optimistic
+    // FastTrack into one pass per capture; OptSlice fuses the hybrid
+    // references with the first (only) optimistic round.  Calibration
+    // is off so its replays of profiling captures do not count.
+    const auto race = workloads::makeRaceWorkload("raytracer", 16, 4);
+    core::OptFtConfig ftConfig;
+    ftConfig.customSyncCalibrationRuns = 0;
+    std::uint64_t before = exec::testing::replayPassesNow();
+    const auto ft = core::runOptFt(race, ftConfig);
+    ASSERT_EQ(ft.misSpeculations, 0u);
+    EXPECT_EQ(exec::testing::replayPassesNow() - before, ft.testRuns);
+
+    const auto slice = workloads::makeSliceWorkload("zlib", 16, 4);
+    before = exec::testing::replayPassesNow();
+    const auto sliced = core::runOptSlice(slice, core::OptSliceConfig{});
+    ASSERT_EQ(sliced.misSpeculations, 0u);
+    ASSERT_LE(sliced.endpoints, 3u);
+    EXPECT_EQ(exec::testing::replayPassesNow() - before, sliced.testRuns);
+}
+
+TEST(ReplayGroups, ManyEndpointsSpanSeveralPassesPerInput)
+{
+    // With maxEndpoints = 5, nginx gets all four of its endpoints:
+    // 4 hybrid + 4 optimistic slicers + a checker exceed one pass's
+    // attachments, so each input takes two passes in the first round.
+    // redis mis-speculates, so later rounds restart mid-input.  Both
+    // must equal the live pipeline.
+    for (const char *name : {"nginx", "redis"}) {
+        const auto workload = workloads::makeSliceWorkload(name, 4, 6);
+        core::OptSliceConfig live;
+        live.useTraceReplay = false;
+        live.maxEndpoints = 5;
+        live.minSliceSize = 0;
+        core::OptSliceConfig replay = live;
+        replay.useTraceReplay = true;
+
+        const auto a = core::runOptSlice(workload, live);
+        const std::uint64_t before = exec::testing::replayPassesNow();
+        const auto b = core::runOptSlice(workload, replay);
+        const std::uint64_t passes =
+            exec::testing::replayPassesNow() - before;
+        expectEqual(a, b, name);
+        EXPECT_TRUE(b.sliceResultsMatch) << name;
+        if (std::string(name) == "nginx") {
+            ASSERT_EQ(b.endpoints, 4u);
+            EXPECT_GE(passes, 2 * b.testRuns);
+        } else {
+            ASSERT_GT(b.misSpeculations, 0u);
+            EXPECT_GT(passes, b.testRuns);
+        }
+    }
+}
+
+/** The CI fault sweep (ci/run.sh faults) varies OHA_FAULT_SEED; seed
+ *  1 keeps plain runs deterministic. */
+std::uint64_t
+sweepSeed()
+{
+    const std::uint64_t env = dyn::faultSeedFromEnv();
+    return env ? env : 1;
+}
+
+TEST(ReplayGroups, InjectedFaultsAbortGroupsLikeLiveRuns)
+{
+    // Seeded faults make the optimistic group's checker abort
+    // mid-stream inside the fused passes, while the reference groups
+    // run on; the replayed pipelines must still equal the live ones.
+    const auto race = workloads::makeRaceWorkload("raytracer", 10, 6);
+    core::OptFtConfig liveFt;
+    liveFt.useTraceReplay = false;
+    liveFt.faultSeed = sweepSeed();
+    core::OptFtConfig replayFt = liveFt;
+    replayFt.useTraceReplay = true;
+    const auto a = core::runOptFt(race, liveFt);
+    const auto b = core::runOptFt(race, replayFt);
+    ASSERT_GT(b.misSpeculations, 0u);
+    expectEqual(a, b, "optft");
+    EXPECT_EQ(a.demotions, b.demotions);
+    EXPECT_TRUE(b.raceReportsMatch);
+
+    const auto slice = workloads::makeSliceWorkload("perl", 10, 5);
+    core::OptSliceConfig liveSlice;
+    liveSlice.useTraceReplay = false;
+    liveSlice.faultSeed = sweepSeed();
+    core::OptSliceConfig replaySlice = liveSlice;
+    replaySlice.useTraceReplay = true;
+    const auto c = core::runOptSlice(slice, liveSlice);
+    const auto d = core::runOptSlice(slice, replaySlice);
+    ASSERT_GT(d.misSpeculations, 0u);
+    expectEqual(c, d, "optslice");
+    EXPECT_EQ(c.demotions, d.demotions);
+    EXPECT_TRUE(d.sliceResultsMatch);
 }
 
 } // namespace
