@@ -197,9 +197,9 @@ class JsonReport
         const std::string path = "BENCH_" + figure_ + ".json";
         char line[512];
         std::string json;
-        // Thread-scaling series (solver-threads-N, service worker
-        // shards) are only interpretable against the host's core
-        // count, so stamp it into every report.
+        // Thread-scaling series (service worker shards) are only
+        // interpretable against the host's core count, so stamp it
+        // into every report.
         std::snprintf(line, sizeof(line),
                       "{\n  \"figure\": \"%s\",\n"
                       "  \"hardware_concurrency\": %u,\n"

@@ -50,11 +50,6 @@ struct OptSliceConfig
      *  merged in input-index order, so they are identical for any
      *  value — only wall-clock time changes. */
     std::size_t threads = 0;
-    /** Worker threads for each wavefront-parallel Andersen solve
-     *  inside the static phase; 0 = the OHA_THREADS pool size.  The
-     *  solver is deterministic, so results are byte-identical at any
-     *  value (AndersenOptions::solverThreads). */
-    std::uint32_t solverThreads = 0;
     /** Record-once/analyze-many: execute each testing input once with
      *  a TraceRecorder, then drive every per-endpoint hybrid and
      *  optimistic Giri configuration — and the rollback re-analysis —

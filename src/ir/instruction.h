@@ -169,24 +169,35 @@ const char *opcodeName(Opcode op);
 /** Printable symbol for @p kind ("+", "<=", ...). */
 const char *binopName(BinOpKind kind);
 
-/** Evaluate a binary operator on two 64-bit values (div/mod by 0 = 0).
- *  Inline: this sits under the interpreter's most common opcode. */
+/**
+ * Evaluate a binary operator on two 64-bit values.  Guest arithmetic
+ * is total and wraps in two's complement: add/sub/mul wrap modulo
+ * 2^64, div/mod by 0 yield 0, INT64_MIN / -1 = INT64_MIN and
+ * INT64_MIN % -1 = 0.  Inline: this sits under the interpreter's most
+ * common opcode.
+ */
 inline std::int64_t
 evalBinOp(BinOpKind kind, std::int64_t lhs, std::int64_t rhs)
 {
+    const auto wrap = [](std::uint64_t value) {
+        return static_cast<std::int64_t>(value);
+    };
+    const std::uint64_t ul = static_cast<std::uint64_t>(lhs);
+    const std::uint64_t ur = static_cast<std::uint64_t>(rhs);
     switch (kind) {
-      case BinOpKind::Add: return lhs + rhs;
-      case BinOpKind::Sub: return lhs - rhs;
-      case BinOpKind::Mul: return lhs * rhs;
-      case BinOpKind::Div: return rhs == 0 ? 0 : lhs / rhs;
-      case BinOpKind::Mod: return rhs == 0 ? 0 : lhs % rhs;
+      case BinOpKind::Add: return wrap(ul + ur);
+      case BinOpKind::Sub: return wrap(ul - ur);
+      case BinOpKind::Mul: return wrap(ul * ur);
+      case BinOpKind::Div:
+        if (rhs == 0)
+            return 0;
+        return rhs == -1 ? wrap(0 - ul) : lhs / rhs;
+      case BinOpKind::Mod: return rhs == 0 || rhs == -1 ? 0 : lhs % rhs;
       case BinOpKind::And: return lhs & rhs;
       case BinOpKind::Or: return lhs | rhs;
       case BinOpKind::Xor: return lhs ^ rhs;
-      case BinOpKind::Shl: return lhs << (rhs & 63);
-      case BinOpKind::Shr:
-        return static_cast<std::int64_t>(
-            static_cast<std::uint64_t>(lhs) >> (rhs & 63));
+      case BinOpKind::Shl: return wrap(ul << (rhs & 63));
+      case BinOpKind::Shr: return wrap(ul >> (rhs & 63));
       case BinOpKind::Lt: return lhs < rhs;
       case BinOpKind::Le: return lhs <= rhs;
       case BinOpKind::Gt: return lhs > rhs;

@@ -1,6 +1,7 @@
 #include "ir/parser.h"
 
 #include <cctype>
+#include <charconv>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -54,10 +55,14 @@ fail(const Source &src, const std::string &message)
 /** In-place token scanner over one instruction line. */
 struct Scanner
 {
+    /** Source positioned at the scanned line, for diagnostics. */
+    const Source &src;
     const std::string &text;
     std::size_t pos = 0;
 
-    explicit Scanner(const std::string &line) : text(line) {}
+    explicit Scanner(const Source &source)
+        : src(source), text(source.peek())
+    {}
 
     void
     skipSpace()
@@ -113,7 +118,13 @@ struct Scanner
             pos = start;
             return false;
         }
-        out = std::stoll(text.substr(start, pos - start));
+        // from_chars takes no '+' sign; a literal beyond int64 is a
+        // parse error, not an exception.
+        const char *first = text.data() + start + (text[start] == '+');
+        const auto [end, ec] =
+            std::from_chars(first, text.data() + pos, out);
+        if (ec != std::errc() || end != text.data() + pos)
+            fail(src, "integer literal out of range");
         return true;
     }
 };
@@ -142,7 +153,7 @@ class Parser
         for (src_.cursor = 0; !src_.done(); ++src_.cursor) {
             const std::string &line = src_.peek();
             if (line.rfind("global ", 0) == 0) {
-                Scanner s(line);
+                Scanner s(src_);
                 s.eat("global");
                 const std::string name = s.ident();
                 std::int64_t size = 1;
@@ -155,7 +166,7 @@ class Parser
                 globals_[name] = module_->addGlobal(
                     name, static_cast<std::uint32_t>(size));
             } else if (line.rfind("func ", 0) == 0) {
-                Scanner s(line);
+                Scanner s(src_);
                 s.eat("func");
                 const std::string name = s.ident();
                 if (name.empty() || !s.eat("("))
@@ -179,7 +190,7 @@ class Parser
         for (src_.cursor = 0; !src_.done(); ++src_.cursor) {
             if (src_.peek().rfind("func ", 0) != 0)
                 continue;
-            Scanner s(src_.peek());
+            Scanner s(src_);
             s.eat("func");
             parseFunctionBody(funcs_.at(s.ident()));
         }
@@ -222,7 +233,7 @@ class Parser
             }
             if (!current)
                 fail(src_, "instruction before any block label");
-            current->instructions().push_back(parseInstruction(line));
+            current->instructions().push_back(parseInstruction());
         }
         func->reserveRegs(maxReg_);
     }
@@ -298,9 +309,9 @@ class Parser
     }
 
     Instruction
-    parseInstruction(const std::string &line)
+    parseInstruction()
     {
-        Scanner s(line);
+        Scanner s(src_);
         Instruction ins;
 
         // ---- void statements ---------------------------------------

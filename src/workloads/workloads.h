@@ -98,7 +98,7 @@ makeDispatchSurfaceModule(std::size_t readers);
  *  functions each registering @p objectsPerRegistrar objects.  The
  *  solved sets carry registrars x objectsPerRegistrar elements, so
  *  this knob scales per-node propagation work independently of module
- *  size — the regime the wavefront solver's thread-scaling bench
+ *  size — the regime microbench_static's dispatch-surface solve
  *  measures.  The one-argument form is (readers, 8, 8). */
 std::shared_ptr<ir::Module>
 makeDispatchSurfaceModule(std::size_t readers, std::size_t registrars,

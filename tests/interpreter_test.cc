@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 
 #include "exec/interpreter.h"
+#include "exec/trace.h"
 #include "ir/builder.h"
 
 namespace oha::exec {
@@ -46,6 +48,44 @@ TEST(Interpreter, ArithmeticAndOutput)
     ASSERT_TRUE(result.finished());
     ASSERT_EQ(result.outputs.size(), 1u);
     EXPECT_EQ(result.outputs[0].second, 42);
+}
+
+TEST(Interpreter, OverflowingArithmeticWrapsLiveAndOnReplay)
+{
+    // INT64_MIN / -1 used to trap the host (SIGFPE); overflowing
+    // add/sub/mul were undefined.  The guest sees wrapped values, and
+    // a replay of the capture reports the same outputs.
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    Module module;
+    IRBuilder b(module);
+    b.createFunction("main", 0);
+    const Reg min = b.constInt(kMin);
+    const Reg max = b.constInt(kMax);
+    const Reg minusOne = b.constInt(-1);
+    const Reg two = b.constInt(2);
+    b.output(b.binop(BinOpKind::Div, min, minusOne));
+    b.output(b.binop(BinOpKind::Mod, min, minusOne));
+    b.output(b.add(max, two));
+    b.output(b.sub(min, two));
+    b.output(b.mul(max, two));
+    b.ret();
+    module.finalize();
+
+    const std::vector<std::int64_t> expected = {kMin, 0, kMin + 1,
+                                                kMax - 1, -2};
+    const RunResult live = runPlain(module);
+    ASSERT_TRUE(live.finished());
+    std::vector<std::int64_t> values;
+    for (const auto &[instr, value] : live.outputs)
+        values.push_back(value);
+    EXPECT_EQ(values, expected);
+
+    const RecordedTrace trace = recordRun(module, {});
+    TraceReplayer replayer(module, trace);
+    const RunResult replayed = replayer.run();
+    ASSERT_TRUE(replayed.finished());
+    EXPECT_EQ(replayed.outputs, live.outputs);
 }
 
 TEST(Interpreter, MemoryLoadStoreGep)

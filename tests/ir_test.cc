@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "ir/builder.h"
 #include "ir/cfg.h"
 #include "ir/printer.h"
@@ -118,6 +120,33 @@ TEST(IrInstruction, EvalBinOp)
     EXPECT_EQ(evalBinOp(BinOpKind::Lt, 1, 2), 1);
     EXPECT_EQ(evalBinOp(BinOpKind::Ge, 1, 2), 0);
     EXPECT_EQ(evalBinOp(BinOpKind::Xor, 6, 3), 5);
+}
+
+TEST(IrInstruction, EvalBinOpWrapsAtTheInt64Edges)
+{
+    // Guest arithmetic is total: overflow wraps in two's complement
+    // and the one overflowing quotient is defined, never a host trap.
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    // A volatile operand keeps the compiler from folding the division,
+    // so it runs on the host as the interpreter would run it.
+    volatile std::int64_t minusOne = -1;
+    EXPECT_EQ(evalBinOp(BinOpKind::Div, kMin, minusOne), kMin);
+    EXPECT_EQ(evalBinOp(BinOpKind::Mod, kMin, minusOne), 0);
+    EXPECT_EQ(evalBinOp(BinOpKind::Div, kMin, 0), 0);
+    EXPECT_EQ(evalBinOp(BinOpKind::Mod, kMin, 0), 0);
+    EXPECT_EQ(evalBinOp(BinOpKind::Div, kMax, -1), -kMax);
+    EXPECT_EQ(evalBinOp(BinOpKind::Mod, 7, -1), 0);
+    EXPECT_EQ(evalBinOp(BinOpKind::Div, -7, 2), -3);
+    EXPECT_EQ(evalBinOp(BinOpKind::Mod, -7, 2), -1);
+    EXPECT_EQ(evalBinOp(BinOpKind::Add, kMax, 1), kMin);
+    EXPECT_EQ(evalBinOp(BinOpKind::Add, kMin, -1), kMax);
+    EXPECT_EQ(evalBinOp(BinOpKind::Sub, kMin, 1), kMax);
+    EXPECT_EQ(evalBinOp(BinOpKind::Sub, 0, kMin), kMin);
+    EXPECT_EQ(evalBinOp(BinOpKind::Mul, kMax, 2), -2);
+    EXPECT_EQ(evalBinOp(BinOpKind::Mul, kMin, -1), kMin);
+    EXPECT_EQ(evalBinOp(BinOpKind::Shl, -1, 63), kMin);
+    EXPECT_EQ(evalBinOp(BinOpKind::Shr, kMin, 63), 1);
 }
 
 Module *

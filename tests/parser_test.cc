@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "exec/interpreter.h"
 #include "ir/parser.h"
 #include "ir/printer.h"
@@ -211,6 +213,43 @@ func main() {
     const std::string once = printModule(*module);
     const auto reparsed = parseModule(once);
     EXPECT_EQ(printModule(*reparsed), once);
+}
+
+TEST(IrParserDeathTest, IntegerLiteralBeyondInt64IsAParseError)
+{
+    // The int64 edges themselves parse...
+    const auto module = parseModule(R"(
+func main() {
+  entry:
+    r0 = -9223372036854775808
+    r1 = 9223372036854775807
+    output r0
+    output r1
+    ret
+}
+)");
+    exec::Interpreter interp(*module, {});
+    const auto result = interp.run();
+    ASSERT_EQ(result.outputs.size(), 2u);
+    EXPECT_EQ(result.outputs[0].second,
+              std::numeric_limits<std::int64_t>::min());
+    EXPECT_EQ(result.outputs[1].second,
+              std::numeric_limits<std::int64_t>::max());
+
+    // ...one past them is a diagnosed parse error, not an uncaught
+    // std::out_of_range.
+    EXPECT_DEATH(parseModule("func main() {\n"
+                             "  entry:\n"
+                             "    r0 = 9223372036854775808\n"
+                             "    ret\n"
+                             "}\n"),
+                 "IR parse error at line 3: integer literal out of range");
+    EXPECT_DEATH(parseModule("global big[99999999999999999999]\n"
+                             "func main() {\n"
+                             "  entry:\n"
+                             "    ret\n"
+                             "}\n"),
+                 "IR parse error at line 1: integer literal out of range");
 }
 
 /** Round-trip property over every benchmark module. */

@@ -1,18 +1,15 @@
 /**
  * @file
- * Unit tests for the support layer: sparse bit sets, BDDs, Bloom
- * filters, vector clocks, union-find and the RNG.
+ * Unit tests for the support layer: sparse bit sets, Bloom filters,
+ * vector clocks, union-find and the RNG.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
-#include <set>
 #include <vector>
 
-#include "support/bdd.h"
 #include "support/bloom_filter.h"
 #include "support/env.h"
 #include "support/rng.h"
@@ -95,64 +92,6 @@ TEST(SparseBitSet, HashDiffersForDifferentSets)
     b.clear();
     b.insert(1);
     EXPECT_EQ(a.hash(), b.hash());
-}
-
-TEST(Bdd, TerminalsAndVariables)
-{
-    BddManager mgr(4);
-    EXPECT_NE(BddManager::trueBdd(), BddManager::falseBdd());
-    const BddRef x0 = mgr.var(0);
-    EXPECT_EQ(mgr.bddAnd(x0, mgr.bddNot(x0)), BddManager::falseBdd());
-    EXPECT_EQ(mgr.bddOr(x0, mgr.bddNot(x0)), BddManager::trueBdd());
-}
-
-TEST(Bdd, SatCount)
-{
-    BddManager mgr(4);
-    EXPECT_DOUBLE_EQ(mgr.satCount(BddManager::trueBdd()), 16.0);
-    EXPECT_DOUBLE_EQ(mgr.satCount(BddManager::falseBdd()), 0.0);
-    EXPECT_DOUBLE_EQ(mgr.satCount(mgr.var(0)), 8.0);
-    const BddRef conj = mgr.bddAnd(mgr.var(0), mgr.var(3));
-    EXPECT_DOUBLE_EQ(mgr.satCount(conj), 4.0);
-}
-
-TEST(Bdd, HashConsingSharesStructure)
-{
-    BddManager mgr(8);
-    const BddRef a = mgr.bddAnd(mgr.var(1), mgr.var(2));
-    const BddRef b = mgr.bddAnd(mgr.var(2), mgr.var(1));
-    EXPECT_EQ(a, b);
-}
-
-TEST(BddSet, InsertContainsCount)
-{
-    BddSetUniverse universe(12);
-    BddRef set = universe.empty();
-    const std::set<std::uint32_t> reference = {0, 1, 7, 100, 4095};
-    for (std::uint32_t id : reference)
-        set = universe.insert(set, id);
-    for (std::uint32_t id : reference)
-        EXPECT_TRUE(universe.contains(set, id));
-    EXPECT_FALSE(universe.contains(set, 2));
-    EXPECT_FALSE(universe.contains(set, 4094));
-    EXPECT_EQ(universe.size(set), reference.size());
-}
-
-TEST(BddSet, UnionIntersect)
-{
-    BddSetUniverse universe(10);
-    BddRef a = universe.empty();
-    BddRef b = universe.empty();
-    for (std::uint32_t i = 0; i < 50; i += 2)
-        a = universe.insert(a, i);
-    for (std::uint32_t i = 0; i < 50; i += 3)
-        b = universe.insert(b, i);
-    const BddRef u = universe.unite(a, b);
-    const BddRef n = universe.intersect(a, b);
-    EXPECT_EQ(universe.size(u), 25u + 17u - 9u);
-    EXPECT_EQ(universe.size(n), 9u); // multiples of 6 below 50
-    EXPECT_TRUE(universe.contains(n, 6));
-    EXPECT_FALSE(universe.contains(n, 2));
 }
 
 TEST(BloomFilter, NoFalseNegatives)
@@ -320,52 +259,6 @@ TEST(EnvSizeBytes, ValidationContract)
               1u << 30);
 
     unsetenv(name);
-}
-
-TEST(RunBatch, ChunkedOverloadCoversAllItemsInOrder)
-{
-    // One queue task per `grain` consecutive indices.  Every grain —
-    // dividing the count, straddling it, and exceeding it — must call
-    // fn exactly once per index and return results in index order.
-    constexpr std::size_t kCount = 101;
-    for (const std::size_t grain :
-         {std::size_t{1}, std::size_t{3}, std::size_t{17},
-          std::size_t{64}, std::size_t{1000}}) {
-        std::atomic<std::size_t> calls{0};
-        const auto results = support::runBatch(
-            kCount,
-            [&](std::size_t i) {
-                calls.fetch_add(1, std::memory_order_relaxed);
-                return 2 * i + 1;
-            },
-            4, grain);
-        ASSERT_EQ(results.size(), kCount) << "grain " << grain;
-        EXPECT_EQ(calls.load(), kCount) << "grain " << grain;
-        for (std::size_t i = 0; i < kCount; ++i)
-            ASSERT_EQ(results[i], 2 * i + 1)
-                << "grain " << grain << " index " << i;
-    }
-}
-
-TEST(RunBatch, RunBatchOnReusesACallerOwnedPool)
-{
-    // The pool-reusing form must behave like the transient-pool form
-    // round after round (the wavefront solver leans on this).
-    support::ThreadPool pool(4);
-    for (int round = 0; round < 3; ++round) {
-        std::atomic<std::size_t> calls{0};
-        const auto results = support::runBatchOn(
-            pool, 50,
-            [&](std::size_t i) {
-                calls.fetch_add(1, std::memory_order_relaxed);
-                return static_cast<int>(i) + round;
-            },
-            8);
-        ASSERT_EQ(results.size(), 50u);
-        EXPECT_EQ(calls.load(), 50u);
-        for (std::size_t i = 0; i < 50; ++i)
-            ASSERT_EQ(results[i], static_cast<int>(i) + round);
-    }
 }
 
 TEST(ConfiguredThreads, SharesTheEnvValidationContract)
