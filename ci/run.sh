@@ -91,18 +91,13 @@ bench-release)
     build_dir=build-ci-release
     cmake -B "$build_dir" -S . -DCMAKE_BUILD_TYPE=Release
     cmake --build "$build_dir" -j "$jobs" --target microbench_trace \
-        microbench_incremental microbench_static
+        microbench_static
     # Force a low segment threshold so the smoke run exercises the
     # segmented spill-to-disk capture path end to end
     # (BENCH_microbench_trace.json is uploaded as an artifact by the
     # workflow).
     OHA_BENCH_SMOKE=1 OHA_TRACE_SEGMENT_BYTES=8192 \
         "$build_dir"/bench/microbench_trace
-    # Incremental re-analysis smoke: parity between the patched and
-    # from-scratch solves is asserted even in smoke mode; the 5x
-    # speedup bar is a warning here (shared-runner timing).  The
-    # workflow uploads BENCH_microbench_incremental.json.
-    OHA_BENCH_SMOKE=1 "$build_dir"/bench/microbench_incremental
     # Static-phase smoke: solver and static-phase timings, plus one
     # serial solve of the dispatch-surface module.  The workflow
     # uploads BENCH_microbench_static.json.
@@ -150,7 +145,7 @@ service)
     # boot-time warm start, the periodic/final snapshot writers racing
     # request shards, and the crash-recovery sweep.
     OHA_THREADS=4 ctest --test-dir "$build_dir" --output-on-failure \
-        -R 'RequestQueue|AnalysisService|LruList|SharedCache|ConfiguredThreads|TraceCodec|SegmentedCapture|SegmentedPipeline|EnvSizeBytes|IncrementalAndersen|ModuleDiff|SharedCacheLineage|AndersenParity.RaceReports|RunBatch|Snapshot'
+        -R 'RequestQueue|AnalysisService|LruList|SharedCache|ConfiguredThreads|TraceCodec|SegmentedCapture|SegmentedPipeline|EnvSizeBytes|AndersenParity.RaceReports|RunBatch|Snapshot'
     # Smoke throughput run; the binary exits non-zero if the parity,
     # warm-hit-rate, warm-latency, or restart-warm acceptance bars
     # fail (the restart-warm series persists a snapshot, clears every

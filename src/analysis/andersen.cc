@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "analysis/constraint_diff.h"
 #include "support/union_find.h"
 
 namespace oha::analysis {
@@ -185,8 +184,6 @@ class AndersenSolver
     {}
 
     AndersenResult run();
-    AndersenResult resolveIncremental(const IncrementalInput &input,
-                                      bool *usedIncremental);
 
   private:
     struct GepCons
@@ -732,11 +729,9 @@ AndersenSolver::mergeNodes(std::uint32_t a, std::uint32_t b)
     graphDirty_ = true;
 
     // Quiescent merge: both members sit at the fixpoint with equal
-    // sets and nothing pending (the usual case for cycles among
-    // incremental-solve seeded nodes).  The merged node satisfies the
-    // union of their constraint lists with that same set already, so
-    // it need not re-fire — without this, online collapse during an
-    // incremental solve would re-propagate full seeded sets.
+    // sets and nothing pending.  The merged node satisfies the union
+    // of their constraint lists with that same set already, so it need
+    // not re-fire.
     const bool quiescent = useDelta_ && delta_[keep].empty() &&
                            delta_[drop].empty() &&
                            pts_[keep] == pts_[drop];
@@ -1383,233 +1378,6 @@ AndersenSolver::run()
 }
 
 AndersenResult
-AndersenSolver::resolveIncremental(const IncrementalInput &input,
-                                   bool *usedIncremental)
-{
-    *usedIncremental = false;
-
-    // Feasibility gates that need no solver state yet.  The reference
-    // solver exists to be a from-scratch ground truth; CS cloning
-    // pruned by call-context invariants gives contexts no stable
-    // cross-version identity.
-    if (!input.base || !input.baseModule || !input.diff ||
-        !input.diff->usable || !input.base->completed ||
-        options_.referenceSolver ||
-        (options_.contextSensitive && input.diff->hasCallContextsEither)) {
-        return run();
-    }
-
-    const ir::Module &baseModule = *input.baseModule;
-    const AndersenResult &base = *input.base;
-    const ConstraintDiff &diff = *input.diff;
-
-    // Which base nodes may hold a different value in the new
-    // fixpoint: directed forward reachability from the diff's seed
-    // functions over the base value flow.  Everything outside keeps
-    // its base value verbatim (additions re-propagate monotonically
-    // below).
-    const NodeTaint taint =
-        nodeTaintClosure(baseModule, base, diff, input.baseInvariants);
-
-    // Build the complete constraint graph for the new version — this
-    // is the cheap O(instructions) part; what the incremental path
-    // saves is the propagation rounds.
-    if (!buildContexts()) {
-        AndersenResult result;
-        result.module_ = &module_;
-        result.completed = false;
-        result.workUnits = contexts_.size();
-        return result;
-    }
-    allocateNodes();
-    generateConstraints();
-    // No HVN / offline reduction / pre-collapse: seeds are per
-    // original node and the fixpoint is solver-strategy independent,
-    // so skipping the merges changes nothing observable.
-
-    // Cross-version identity: contexts match by (function name,
-    // mapped call-site chain, fallback flag); cells by (kind, mapped
-    // source, mapped context).
-    const VersionMap vmap = buildVersionMap(baseModule, module_);
-    const std::vector<std::uint32_t> ctxMap =
-        mapContexts(baseModule, module_, vmap, base.contexts, contexts_);
-    const std::vector<CellId> cellMap =
-        mapCells(base.memory, memory_, vmap, ctxMap);
-
-    // A context is seedable when it maps and its function's body is
-    // unchanged; individual nodes inside it are still subject to the
-    // per-node taint below.
-    std::vector<std::uint32_t> seedCtxOf(contexts_.size(), ~0u);
-    for (const ContextInstance &ctx : base.contexts) {
-        if (ctxMap[ctx.id] == ~0u)
-            continue;
-        if (!vmap.bodyUnchanged[ctx.func])
-            continue;
-        seedCtxOf[ctxMap[ctx.id]] = ctx.id;
-    }
-    std::vector<CellId> cellPre(memory_.numCells(), kNoCell);
-    for (CellId cell = 0; cell < cellMap.size(); ++cell)
-        if (cellMap[cell] != kNoCell)
-            cellPre[cellMap[cell]] = cell;
-
-    // Translate base pool entries on demand (sets are hash-consed, so
-    // each distinct set translates once).  An untranslatable cell
-    // inside a set we need would make the seed unsound — fall back to
-    // a from-scratch solve on a fresh solver instead.
-    std::vector<char> poolTried(base.ptsPool_.size(), 0);
-    std::vector<char> poolOk(base.ptsPool_.size(), 0);
-    std::vector<SparseBitSet> poolXlate(base.ptsPool_.size());
-    bool translationFailed = false;
-    auto translated = [&](std::uint32_t poolIdx) -> const SparseBitSet * {
-        if (!poolTried[poolIdx]) {
-            poolTried[poolIdx] = 1;
-            poolOk[poolIdx] = translateCellSet(base.ptsPool_[poolIdx],
-                                               cellMap, poolXlate[poolIdx])
-                                  ? 1
-                                  : 0;
-        }
-        if (!poolOk[poolIdx]) {
-            translationFailed = true;
-            return nullptr;
-        }
-        return &poolXlate[poolIdx];
-    };
-    auto basePoolIdxOf = [&](std::uint32_t baseNode) {
-        return base.ptsIdx_[base.repr_[baseNode]];
-    };
-
-    // Seed: overwrite every mapped clean node with its translated
-    // base value and clear its delta — it is already at the new
-    // fixpoint, so it never fires.  Everything else (the dirtied
-    // region) keeps its generation-time state and is recomputed from
-    // scratch, monotonically, from the sound base below.
-    std::vector<char> seededNode(numNodes_, 0);
-    for (std::uint32_t nctx = 0;
-         nctx < contexts_.size() && !translationFailed; ++nctx) {
-        const std::uint32_t bctx = seedCtxOf[nctx];
-        if (bctx == ~0u)
-            continue;
-        const ir::Function *baseFunc =
-            baseModule.function(base.contexts[bctx].func);
-        const ir::Function *nextFunc =
-            module_.function(contexts_[nctx].func);
-        const ir::Reg common = std::min(baseFunc->numRegs(),
-                                        nextFunc->numRegs());
-        auto seedOne = [&](std::uint32_t node, std::uint32_t baseNode) {
-            const SparseBitSet *value = translated(basePoolIdxOf(baseNode));
-            if (!value)
-                return;
-            pts_[node] = *value;
-            delta_[node].clear();
-            seededNode[node] = 1;
-        };
-        for (ir::Reg reg = 0; reg < common && !translationFailed; ++reg)
-            if (!taint.regs[bctx][reg])
-                seedOne(regNode(nctx, reg), base.regBase_[bctx] + reg);
-        if (!translationFailed && !taint.regs[bctx][baseFunc->numRegs()])
-            seedOne(retNode(nctx),
-                    base.regBase_[bctx] + baseFunc->numRegs());
-    }
-    for (CellId cell = 0; cell < memory_.numCells() && !translationFailed;
-         ++cell) {
-        const CellId pre = cellPre[cell];
-        if (pre == kNoCell || taint.cells.contains(pre))
-            continue;
-        const SparseBitSet *value =
-            translated(base.ptsIdx_[base.repr_[pre]]);
-        if (!value)
-            continue;
-        pts_[cell] = *value;
-        delta_[cell].clear();
-        seededNode[cell] = 1;
-    }
-    if (translationFailed) {
-        AndersenSolver fresh(module_, options_, ciPrepass_);
-        return fresh.run();
-    }
-
-    // Seeded nodes never fire, so the derived edges a from-scratch
-    // solve would discover from their sets must be materialized up
-    // front: load/store edges through their cells, icall linkage, and
-    // value injection across every seeded -> dirty boundary.  Edges
-    // between two seeded endpoints need no value transfer (the base
-    // fixpoint already satisfies them); addCopyEdge handles dirty
-    // endpoints by unioning the full source set and queueing the
-    // target.
-    // An edge between two seeded endpoints is dead weight: a seeded
-    // node is outside the taint closure, so no new value can ever
-    // reach it and neither endpoint fires during the delta solve —
-    // skip those entirely instead of materializing them.
-    for (std::uint32_t u = 0; u < numNodes_; ++u) {
-        if (!seededNode[u])
-            continue;
-        for (std::uint32_t dst : loadCons_[u]) {
-            // A seeded dst implies every cell in the (base-valued) set
-            // is seeded too: a dirtied cell feeding dst would have
-            // tainted it.
-            if (seededNode[dst])
-                continue;
-            pts_[u].forEach(
-                [&](CellId cell) { addCopyEdge(cell, dst); });
-        }
-        for (std::uint32_t src : storeCons_[u]) {
-            pts_[u].forEach([&](CellId cell) {
-                if (!seededNode[src] || !seededNode[cell])
-                    addCopyEdge(src, cell);
-            });
-        }
-        for (const IcallCons &icall : icallCons_[u]) {
-            pts_[u].forEach(
-                [&](CellId cell) { resolveIcallTarget(icall, cell); });
-        }
-        for (const GepCons &gep : gepCons_[u]) {
-            if (seededNode[gep.dest])
-                continue; // same-context destination, base-covered
-            SparseBitSet shifted;
-            pts_[u].forEach([&](CellId cell) {
-                if (memory_.isFunctionCell(cell)) {
-                    shifted.insert(cell);
-                    return;
-                }
-                if (gep.variable) {
-                    const AbsObject &o =
-                        memory_.object(memory_.objectOfCell(cell));
-                    for (std::uint32_t f = 0; f < o.size; ++f)
-                        shifted.insert(o.baseCell + f);
-                } else {
-                    const CellId target =
-                        memory_.shiftCell(cell, gep.delta);
-                    if (target != kNoCell)
-                        shifted.insert(target);
-                }
-            });
-            if (pts_[gep.dest].unionWithDiff(shifted, delta_[gep.dest]))
-                push(gep.dest);
-        }
-        succs_[u].forEach([&](std::uint32_t v) {
-            if (seededNode[v] || v == u)
-                return;
-            if (pts_[v].unionWithDiff(pts_[u], delta_[v]))
-                push(v);
-        });
-    }
-
-    // Queue the dirty region with full deltas; the worklist then runs
-    // a normal difference-propagation solve over it.
-    for (std::uint32_t u = 0; u < numNodes_; ++u) {
-        if (!seededNode[u] && !pts_[u].empty()) {
-            delta_[u] = pts_[u];
-            push(u);
-        }
-    }
-    seeded_ = true;
-    solveWaves();
-
-    *usedIncremental = true;
-    return assembleResult();
-}
-
-AndersenResult
 runAndersen(const ir::Module &module, const AndersenOptions &options)
 {
     OHA_ASSERT(module.finalized());
@@ -1639,39 +1407,6 @@ runAndersenPrepassed(const ir::Module &module,
     OHA_ASSERT(module.finalized());
     AndersenSolver solver(module, options, ciPrepass);
     return solver.run();
-}
-
-AndersenResult
-runAndersenIncremental(const ir::Module &module,
-                       const AndersenOptions &options,
-                       const IncrementalInput &input,
-                       const AndersenResult *ciPrepass,
-                       bool *usedIncremental)
-{
-    OHA_ASSERT(module.finalized());
-    bool localUsed = false;
-    if (!usedIncremental)
-        usedIncremental = &localUsed;
-
-    // Sound CS needs a CI pre-pass for indirect calls, exactly as in
-    // runAndersen.  When the caller does not supply one it is computed
-    // here (from scratch — the memoizing cache layer passes its own
-    // incrementally-patched CI result instead) and its effort folded
-    // into workUnits.
-    if (options.contextSensitive && !options.invariants && !ciPrepass) {
-        AndersenOptions ciOptions = options;
-        ciOptions.contextSensitive = false;
-        AndersenSolver ciSolver(module, ciOptions, nullptr);
-        const AndersenResult ciResult = ciSolver.run();
-        AndersenSolver solver(module, options, &ciResult);
-        AndersenResult result =
-            solver.resolveIncremental(input, usedIncremental);
-        result.workUnits += ciResult.workUnits;
-        return result;
-    }
-
-    AndersenSolver solver(module, options, ciPrepass);
-    return solver.resolveIncremental(input, usedIncremental);
 }
 
 } // namespace oha::analysis

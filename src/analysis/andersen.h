@@ -183,43 +183,6 @@ class AndersenResult
 AndersenResult runAndersen(const ir::Module &module,
                            const AndersenOptions &options);
 
-struct ConstraintDiff;
-
-/**
- * Inputs for an incremental re-solve against a cached base result
- * (AndersenSolver::resolveIncremental).  @p base must be a completed
- * result for @p baseModule computed with the same options and with
- * @p baseInvariants as its invariant set (null = sound).
- */
-struct IncrementalInput
-{
-    const ir::Module *baseModule = nullptr;
-    const AndersenResult *base = nullptr;
-    const ConstraintDiff *diff = nullptr;
-    const inv::InvariantSet *baseInvariants = nullptr;
-};
-
-/**
- * Solve @p module by patching @p input.base: the full constraint graph
- * for the new version is built, but every node outside the diff's
- * taint closure is seeded with its (translated) base points-to set and
- * never re-derived — the difference-propagation worklist starts from
- * the affected region only.  Removed constraints are handled by
- * recomputing the dirtied region from the sound base, never by
- * deleting bits.  Falls back to a from-scratch solve (reporting
- * @p usedIncremental = false) whenever patching would be unsound or
- * has no stable cross-version mapping: unusable diff, incomplete base,
- * reference solver, CS with call-context invariants, or untranslatable
- * cells.  Either way the returned views (pts / icall targets / ...)
- * equal a from-scratch solve's; only workUnits reflects the actual
- * (incremental) effort.
- */
-AndersenResult runAndersenIncremental(const ir::Module &module,
-                                      const AndersenOptions &options,
-                                      const IncrementalInput &input,
-                                      const AndersenResult *ciPrepass,
-                                      bool *usedIncremental);
-
 /**
  * As runAndersen, but with a caller-supplied CI pre-pass for sound CS
  * runs (the pre-pass resolves indirect calls).  Lets the memoizing

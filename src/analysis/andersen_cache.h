@@ -45,7 +45,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <set>
 #include <vector>
 
@@ -68,9 +67,9 @@ struct AndersenCacheStats
     std::uint64_t evictions = 0;
     /** Inserts dropped because a reset intervened mid-solve. */
     std::uint64_t staleDrops = 0;
-    /** Misses served by patching a cached ancestor version's result
-     *  through the incremental solver instead of solving from
-     *  scratch (version lineage; see runAndersenMemo). */
+    /** Always 0.  Every miss is a cold solve; the field survives only
+     *  because existing stats readers (the ohabench harness) still
+     *  report it. */
     std::uint64_t lineageHits = 0;
     std::size_t entries = 0;
     std::size_t bytesCached = 0;
@@ -80,19 +79,8 @@ struct AndersenCacheStats
 /**
  * Memoized runAndersen.  @p module must be the module the options'
  * invariants were profiled on; the returned result (and the cache
- * entry behind it, until evicted) keeps it alive.
- *
- * Version lineage: every insert also records the module in a bounded
- * recency list of known versions (depth OHA_LINEAGE_DEPTH, default 8;
- * 0 disables).  A miss for an *edited* module first looks for a
- * cached ancestor version, diffs the two modules (ir::ModuleDiff →
- * analysis::ConstraintDiff) and, when the diff is usable, patches the
- * ancestor's result through AndersenSolver::resolveIncremental
- * instead of solving from scratch — counted as a lineageHit, results
- * identical to a cold solve (only workUnits reflects the smaller
- * incremental effort).  Lineage entries are generation-stamped like
- * everything else: a reset() drops them, so a stale version is never
- * used as a patch base.
+ * entry behind it, until evicted) keeps it alive.  A miss solves from
+ * scratch, so a hit returns exactly what a cold solve would.
  */
 std::shared_ptr<const AndersenResult>
 runAndersenMemo(const std::shared_ptr<const ir::Module> &module,
@@ -117,11 +105,6 @@ runStaticRaceDetectorMemo(const std::shared_ptr<const ir::Module> &module,
 struct SliceSetResult
 {
     std::vector<std::set<InstrId>> slices;
-    /** The endpoint instruction slices[i] was computed for (filled by
-     *  the memo layer on insert).  Cached entries need them so a
-     *  lineage patch for an edited module can match endpoints across
-     *  versions — instruction ids are reassigned by every edit. */
-    std::vector<InstrId> endpoints;
     bool contextSensitive = false;
     bool complete = false;
     std::uint64_t workUnits = 0;
@@ -131,28 +114,11 @@ struct SliceSetResult
 inline std::size_t
 byteSizeEstimate(const SliceSetResult &result)
 {
-    std::size_t bytes =
-        sizeof(result) + result.endpoints.size() * sizeof(InstrId);
+    std::size_t bytes = sizeof(result);
     for (const std::set<InstrId> &slice : result.slices)
         bytes += sizeof(slice) + slice.size() * (sizeof(InstrId) + 48);
     return bytes;
 }
-
-struct ConstraintDiff; // analysis/constraint_diff.h
-
-/** A cached slice set for an ancestor version of the module, offered
- *  to sliceSetMemo's computeIncremental callback as a patch base
- *  (version lineage — see runAndersenMemo). */
-struct SliceLineageBase
-{
-    std::shared_ptr<const ir::Module> module;
-    std::shared_ptr<const SliceSetResult> slices;
-    /** Invariant set the base slices were computed under (null =
-     *  sound). */
-    std::shared_ptr<const inv::InvariantSet> invariants;
-    /** Lowered diff base -> requested module, usable. */
-    const ConstraintDiff *diff = nullptr;
-};
 
 /**
  * Memoize a slice-set computation.  Keyed by (module, invariants,
@@ -160,30 +126,18 @@ struct SliceLineageBase
  * that can change the output (work budget, picked analysis level).
  * On a miss @p compute runs outside the cache lock; first insert
  * wins.
- *
- * When @p computeIncremental is provided, a miss for an *edited*
- * module first offers cached ancestor-version slice sets (same
- * configKey, usable constraint diff, in lineage recency order) to the
- * callback; a non-nullopt return is cached as the result and counted
- * as a lineageHit, so per-endpoint patching (core/optslice.cc)
- * composes with the cache exactly like the Andersen and detector
- * lineage paths.  The callback must return slices identical to what
- * @p compute would produce.
  */
 std::shared_ptr<const SliceSetResult>
 sliceSetMemo(const std::shared_ptr<const ir::Module> &module,
              const inv::InvariantSet *invariants, std::uint64_t configKey,
              const std::vector<InstrId> &endpoints,
-             const std::function<SliceSetResult()> &compute,
-             const std::function<std::optional<SliceSetResult>(
-                 const SliceLineageBase &)> &computeIncremental = {});
+             const std::function<SliceSetResult()> &compute);
 
 /**
  * Snapshot-portable view of one cached detector run: both
  * fingerprints of each key component plus the plain-data result.
- * Restored entries are admitted without a module object, so they can
- * serve dual-fingerprint-verified hits but are excluded from version
- * lineage (they can never be incremental patch bases).  Opaque
+ * Restored entries are admitted without a module object; they serve
+ * dual-fingerprint-verified hits like any other entry.  Opaque
  * AndersenResult entries are deliberately NOT exportable — points-to
  * graphs reference hash-consed pools and the live module and are
  * recomputed after a restart.

@@ -32,12 +32,6 @@ struct StaticRaceResult
     std::set<InstrId> racyAccesses;
     /** The may-race pairs themselves (a <= b). */
     std::set<std::pair<InstrId, InstrId>> racyPairs;
-    /** Pre-lockset candidates: pairs that passed alias ∧ MHP ∧
-     *  at-least-one-write, racy or guarded alike.  Stored so the
-     *  incremental re-analysis of an edited module can reuse the
-     *  clean-region verdicts and re-evaluate only the lock guard
-     *  (which depends on the new invariant set) per candidate. */
-    std::set<std::pair<InstrId, InstrId>> candidatePairs;
     /** Must-alias lock pairs the pruning actually relied on; the
      *  runtime must verify exactly these (Section 4.2.2). */
     std::set<std::pair<InstrId, InstrId>> usedLockAliases;
@@ -57,8 +51,7 @@ byteSizeEstimate(const StaticRaceResult &result)
 {
     return sizeof(result) +
            result.racyAccesses.size() * (sizeof(InstrId) + 48) +
-           (result.racyPairs.size() + result.candidatePairs.size() +
-            result.usedLockAliases.size()) *
+           (result.racyPairs.size() + result.usedLockAliases.size()) *
                (sizeof(std::pair<InstrId, InstrId>) + 48) +
            result.usedSingletonSites.size() * (sizeof(InstrId) + 48);
 }
@@ -81,39 +74,5 @@ runStaticRaceDetector(const ir::Module &module,
                       const std::shared_ptr<const ir::Module> &shared =
                           nullptr,
                       bool referenceSolver = false);
-
-struct ConstraintDiff; // analysis/constraint_diff.h
-
-/** A cached detector run for an ancestor version of the module,
- *  usable as a patch base. */
-struct RaceIncrementalInput
-{
-    std::shared_ptr<const ir::Module> baseModule;
-    std::shared_ptr<const StaticRaceResult> baseRace;
-    /** Invariant set the base detector ran under (null = sound). */
-    std::shared_ptr<const inv::InvariantSet> baseInvariants;
-    /** Lowered diff base -> module, usable. */
-    const ConstraintDiff *diff = nullptr;
-};
-
-/**
- * Re-run the detector on an edited module by patching @p input: the
- * points-to phase goes through the incremental solver (via the memo
- * layer), and the O(accesses²) pair matrix is evaluated only for
- * pairs touching a *dirty* function — a function whose constraints,
- * points-to values or invariant slice differ between the versions.
- * Clean-pair alias/MHP verdicts are reused from the base run's
- * candidatePairs; the lock guard (which depends on the new invariant
- * set) is re-evaluated for every candidate.  Falls back to the full
- * detector — reporting @p usedIncremental = false — whenever a
- * global structure guard fails: unusable diff, edited entry function
- * (body, invariant slice or re-entrancy determination), edited
- * spawn/join structure, call-graph or thread-escape drift.
- * Either way the reported races equal a from-scratch run's.
- */
-StaticRaceResult runStaticRaceDetectorIncremental(
-    const std::shared_ptr<const ir::Module> &module,
-    const inv::InvariantSet *invariants,
-    const RaceIncrementalInput &input, bool *usedIncremental = nullptr);
 
 } // namespace oha::analysis

@@ -30,28 +30,6 @@ struct GlobalVar
     std::uint32_t size = 1;
 };
 
-/**
- * Two independent 64-bit hashes of a function's canonical text (see
- * Module::functionFingerprint).  Dual hashes follow the shared-cache
- * convention: equality of both is treated as value identity, a
- * single-hash match alone never is.
- */
-struct FunctionFingerprint
-{
-    std::uint64_t primary = 0;
-    std::uint64_t secondary = 0;
-
-    bool
-    operator==(const FunctionFingerprint &other) const
-    {
-        return primary == other.primary && secondary == other.secondary;
-    }
-    bool operator!=(const FunctionFingerprint &other) const
-    {
-        return !(*this == other);
-    }
-};
-
 /** A whole program. */
 class Module
 {
@@ -153,22 +131,6 @@ class Module
         return funcs_[id].get();
     }
 
-    /**
-     * Dual hash of the function's canonical text (available after
-     * finalize()).  The canonical text is reprint-stable: it names
-     * callees/globals and uses function-local block labels, never
-     * module-global instruction or block ids, so print -> parse ->
-     * finalize round-trips preserve every fingerprint.  Equal
-     * fingerprints are how ModuleDiff decides a function is unchanged
-     * across module versions.
-     */
-    const FunctionFingerprint &
-    functionFingerprint(FuncId id) const
-    {
-        OHA_ASSERT(finalized_ && id < funcFps_.size());
-        return funcFps_[id];
-    }
-
   private:
     bool finalized_ = false;
     std::vector<std::unique_ptr<Function>> funcs_;
@@ -176,16 +138,6 @@ class Module
     std::unordered_map<std::string, Function *> byName_;
     std::vector<const Instruction *> instrById_;
     std::vector<BasicBlock *> blockById_;
-    std::vector<FunctionFingerprint> funcFps_;
 };
-
-/**
- * The reprint-stable per-function text that functionFingerprint()
- * hashes: a `func name/params` header followed by each block's label
- * and printed instructions.  Exposed so ModuleDiff tests and debugging
- * can inspect exactly what two versions are compared on.
- */
-std::string canonicalFunctionText(const Module &module,
-                                  const Function &func);
 
 } // namespace oha::ir

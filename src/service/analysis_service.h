@@ -26,12 +26,11 @@
  * of (workload, config), and every cache layer is value-keyed with
  * results bit-identical to a fresh computation (stored workUnits are
  * the one real computation's deterministic cost).  Therefore a
- * request's result is byte-identical to a direct batch-mode call —
- * at ANY shard count, on any cache state, in any arrival order — with
- * one exception: when a lineage patch computed the static phase, the
- * modeled static-cost fields price the incremental effort (listed in
- * docs/SERVICE.md, "Determinism contract").  The service-vs-batch
- * parity tests pin both halves.
+ * request's result is byte-identical to a direct batch-mode call, on
+ * every field, at ANY shard count, on any cache state, in any arrival
+ * order.  Every static result a request consumes is either a verified
+ * hit or a from-scratch solve.  The service-vs-batch parity tests pin
+ * this.
  */
 
 #pragma once

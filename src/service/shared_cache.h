@@ -86,10 +86,6 @@ struct SharedCacheStats
     /** Computations discarded because a reset() intervened between
      *  their cache probe and their insert. */
     std::uint64_t staleDrops = 0;
-    /** Misses served by patching a cached ancestor version instead of
-     *  solving from scratch (the version-lineage path of the static
-     *  sections — see analysis/andersen_cache.h). */
-    std::uint64_t lineageHits = 0;
     std::size_t entries = 0;
     std::size_t bytesCached = 0;
     std::size_t byteBudget = 0;
@@ -120,7 +116,6 @@ class SharedCache
         ++stats_.misses;
     }
     void noteStaleDrop() { ++stats_.staleDrops; }
-    void noteLineageHit() { ++stats_.lineageHits; }
 
     /** Evict cold entries until the byte budget fits.  Mutex held. */
     void

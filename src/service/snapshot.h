@@ -20,7 +20,7 @@
  * every key component, so a post-restart request still performs the
  * full dual-fingerprint verification before a hit is served.  Entries
  * are admitted with null module pointers — they serve verified hits
- * but are excluded from version lineage (never patch bases).  Any
+ * like any other entry.  Any
  * entry that fails structural validation is rejected and counted
  * individually; any container-level defect (truncation, bit flip,
  * version skew, wrong kind) rejects the whole file and the daemon
@@ -59,6 +59,11 @@ struct SnapshotStats
     /** errno of the most recent write failure (0 = none). */
     int lastErrno = 0;
 };
+
+/** Format version written into every snapshot's meta block.  Bump
+ *  when any entry encoding changes; readers reject other versions
+ *  (recompute, don't guess). */
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 SnapshotStats snapshotStats();
 void resetSnapshotStats();

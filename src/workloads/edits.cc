@@ -40,12 +40,6 @@ isLabelLine(const std::string &line)
 } // namespace
 
 std::unique_ptr<ir::Module>
-reprintModule(const ir::Module &module)
-{
-    return ir::parseModule(ir::printModule(module));
-}
-
-std::unique_ptr<ir::Module>
 editFunctions(const ir::Module &module,
               const std::vector<std::string> &names)
 {

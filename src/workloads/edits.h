@@ -1,13 +1,12 @@
 /**
  * @file
  * Deterministic source-level edits over OHA-IR modules, for the
- * incremental-analysis benchmark and tests.
+ * service benchmark's edited-module requests and the tests.
  *
  * Edits operate on the printed text form and re-parse, exactly like a
  * developer editing a source file between two analysis-service
- * requests: the edited module has fresh instruction/block ids, and
- * only name + canonical-text identity (ir::FunctionFingerprint)
- * connects the two versions.
+ * requests: the edited module has fresh instruction/block ids and a
+ * new fingerprint, so its static phase is solved from scratch.
  */
 
 #pragma once
@@ -20,23 +19,19 @@
 
 namespace oha::workloads {
 
-/** Print @p module and parse it back (a no-op edit: every function
- *  keeps its fingerprint, but all ids are reassigned). */
-std::unique_ptr<ir::Module> reprintModule(const ir::Module &module);
-
 /**
  * Insert a small pointer-relevant prologue (two fresh allocations and
  * a store linking them) at the top of the entry block of every
  * function in @p names, via print -> text edit -> parse.  Changes the
- * edited functions' fingerprints and points-to results while leaving
- * every other function's canonical text untouched.
+ * edited functions' points-to results while leaving every other
+ * function's printed text untouched.
  */
 std::unique_ptr<ir::Module>
 editFunctions(const ir::Module &module,
               const std::vector<std::string> &names);
 
 /** The first @p count function names of @p module in definition
- *  order (for "edit N% of functions" sweeps). */
+ *  order. */
 std::vector<std::string> firstFunctionNames(const ir::Module &module,
                                             std::size_t count);
 
@@ -46,9 +41,7 @@ std::vector<std::string> firstFunctionNames(const ir::Module &module,
  * sharing the original globals.  Dispatch-table workloads get
  * superlinearly harder to analyze: every copy registers its own
  * functions in the shared tables, so indirect-call target sets grow
- * with the copy count — the regime where incremental re-analysis
- * pays (the incremental-analysis benchmark uses this to measure
- * re-analysis cost against module size at fixed edit size).
+ * with the copy count (ohabench's batch-coldcode workload).
  */
 std::unique_ptr<ir::Module> scaleModule(const ir::Module &module,
                                         std::size_t copies);

@@ -281,8 +281,9 @@ TEST(AdaptiveRecovery, OptSliceRepairReducesMisSpeculation)
     EXPECT_TRUE(historical.sliceResultsMatch);
     EXPECT_GT(historical.misSpeculations, 0u);
     EXPECT_LE(repaired.misSpeculations, historical.misSpeculations);
-    if (repaired.misSpeculations < historical.misSpeculations)
+    if (repaired.misSpeculations < historical.misSpeculations) {
         EXPECT_GE(repaired.repredications, 1u);
+    }
     EXPECT_EQ(historical.repredications, 0u);
 }
 

@@ -27,14 +27,11 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/constraint_diff.h"
 #include "analysis/race_detector.h"
 #include "analysis/slicer.h"
-#include "ir/module_diff.h"
 #include "ir/parser.h"
 #include "profile/profiler.h"
 #include "support/thread_pool.h"
-#include "workloads/edits.h"
 #include "workloads/workloads.h"
 
 namespace oha {
@@ -327,52 +324,6 @@ TEST(AndersenParity, RaceReportsByteIdenticalAtAnyThreadCount)
 // recorded from the wave-ordered solver.
 // ---------------------------------------------------------------------
 
-/** Non-entry, spawn/join-free function names: edits there keep the
- *  constraint diff usable, so resolveIncremental actually engages. */
-std::vector<std::string>
-incrementalEditNames(const ir::Module &module, std::size_t count)
-{
-    std::vector<char> hasThreadOp(module.numFunctions(), 0);
-    for (InstrId id = 0; id < module.numInstrs(); ++id) {
-        const ir::Instruction &ins = module.instr(id);
-        if (ins.op == ir::Opcode::Spawn || ins.op == ir::Opcode::Join)
-            hasThreadOp[ins.func] = 1;
-    }
-    std::vector<std::string> names;
-    for (const auto &func : module.functions()) {
-        if (func->name() == "main" || hasThreadOp[func->id()])
-            continue;
-        names.push_back(func->name());
-        if (names.size() == count)
-            break;
-    }
-    return names;
-}
-
-/** workUnits of a patched solve after editing two functions. */
-std::uint64_t
-incrementalWorkUnits(const workloads::Workload &workload)
-{
-    const std::shared_ptr<const ir::Module> base = workload.module;
-    const std::shared_ptr<const ir::Module> next =
-        workloads::editFunctions(*base, incrementalEditNames(*base, 2));
-    const ir::ModuleDiff structural = ir::computeModuleDiff(*base, *next);
-    const analysis::ConstraintDiff diff = analysis::lowerToConstraints(
-        *base, *next, structural, nullptr, nullptr);
-    EXPECT_TRUE(diff.usable) << workload.name;
-    const AndersenResult baseResult =
-        analysis::runAndersen(*base, AndersenOptions{});
-    analysis::IncrementalInput input;
-    input.baseModule = base.get();
-    input.base = &baseResult;
-    input.diff = &diff;
-    bool usedIncremental = false;
-    const AndersenResult patched = analysis::runAndersenIncremental(
-        *next, AndersenOptions{}, input, nullptr, &usedIncremental);
-    EXPECT_TRUE(usedIncremental) << workload.name;
-    return patched.workUnits;
-}
-
 TEST(AndersenWorkUnits, MatchRecordedSchedule)
 {
     // Per workload: CI sound, CI predicated, CS sound, CS predicated.
@@ -430,18 +381,11 @@ TEST(AndersenWorkUnits, MatchRecordedSchedule)
         }
     }
 
-    // Wide waves (the propagation-dominated module) and patched
-    // solves, whose initial wave is the diff's taint closure.
+    // Wide waves (the propagation-dominated module).
     EXPECT_EQ(analysis::runAndersen(
                   *workloads::makeDispatchSurfaceModule(120, 32, 64), {})
                   .workUnits,
               142419u);
-    EXPECT_EQ(incrementalWorkUnits(workloads::makeRaceWorkload(
-                  workloads::raceWorkloadNames().front(), 1, 3)),
-              615u);
-    EXPECT_EQ(incrementalWorkUnits(
-                  workloads::makeSliceWorkload("vim", 1, 3)),
-              1046u);
 
     // The suite's reduced copy graphs fire in only 2-4 waves, where the
     // phase order rarely moves the count.  In these modules a gep

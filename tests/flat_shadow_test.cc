@@ -83,8 +83,9 @@ TEST(FlatMap, EraseBackwardShiftKeepsProbeChainsIntact)
         EXPECT_EQ(*got, value);
     }
     for (std::uint64_t key = 0; key < 512; ++key) {
-        if (!oracle.count(key))
+        if (!oracle.count(key)) {
             EXPECT_EQ(map.find(key), nullptr) << "ghost key " << key;
+        }
     }
 }
 

@@ -377,7 +377,7 @@ TEST_F(SnapshotTest, BogusEntryTagRejectedIndividually)
         support::DurableWriter writer(path,
                                       support::kDurableKindSnapshot);
         support::ByteWriter meta;
-        meta.u32(1); // snapshot version
+        meta.u32(service::kSnapshotVersion);
         meta.u64(1); // one entry
         writer.addBlock(meta.data());
         support::ByteWriter entry;
@@ -454,27 +454,62 @@ TEST_F(SnapshotTest, OldFormatTraceEntryRejectedAndRecomputed)
 
 TEST_F(SnapshotTest, EntryCountMismatchRejectsWholesale)
 {
-    // Meta promises two entries, container carries one.
-    const std::string path = dir_ + "/mismatch.snapshot";
+    // Container-level meta defects, each over a single tag-1 entry
+    // block: the meta promising two entries, and a snapshot of an
+    // older format version.  Either is rejected wholesale, and a
+    // daemon booting on it starts cold.
+    struct MetaDefect
     {
-        support::DurableWriter writer(path,
-                                      support::kDurableKindSnapshot);
-        support::ByteWriter meta;
-        meta.u32(1);
-        meta.u64(2);
-        writer.addBlock(meta.data());
-        support::ByteWriter entry;
-        entry.u8(1);
-        writer.addBlock(entry.data());
-        std::string error;
-        ASSERT_TRUE(writer.commit(&error)) << error;
-    }
+        const char *label;
+        std::uint32_t version;
+        std::uint64_t entries;
+        const char *reason;
+    };
+    const MetaDefect defects[] = {
+        {"entry count", service::kSnapshotVersion, 2,
+         "block count does not match entry count"},
+        {"version 1", 1, 1, "unsupported snapshot version"},
+    };
+    for (const MetaDefect &defect : defects) {
+        const std::string path = snapshotPath();
+        {
+            support::DurableWriter writer(path,
+                                          support::kDurableKindSnapshot);
+            support::ByteWriter meta;
+            meta.u32(defect.version);
+            meta.u64(defect.entries);
+            writer.addBlock(meta.data());
+            support::ByteWriter entry;
+            entry.u8(1);
+            writer.addBlock(entry.data());
+            std::string error;
+            ASSERT_TRUE(writer.commit(&error)) << error;
+        }
 
-    const auto before = service::snapshotStats();
-    EXPECT_FALSE(service::loadSnapshot(path));
-    const auto after = service::snapshotStats();
-    EXPECT_EQ(after.loadRejects, before.loadRejects + 1);
-    EXPECT_EQ(after.entriesRestored, before.entriesRestored);
+        const auto before = service::snapshotStats();
+        std::string error;
+        EXPECT_FALSE(service::loadSnapshot(path, &error)) << defect.label;
+        EXPECT_NE(error.find(defect.reason), std::string::npos)
+            << defect.label << ": " << error;
+        const auto after = service::snapshotStats();
+        EXPECT_EQ(after.loadRejects, before.loadRejects + 1)
+            << defect.label;
+        EXPECT_EQ(after.entriesRestored, before.entriesRestored)
+            << defect.label;
+
+        service::ServiceConfig config;
+        config.shards = 1;
+        config.stateDir = dir_;
+        service::AnalysisService daemon(config);
+        const auto afterBoot = service::snapshotStats();
+        EXPECT_EQ(afterBoot.loads, after.loads) << defect.label;
+        EXPECT_EQ(afterBoot.loadRejects, after.loadRejects + 1)
+            << defect.label;
+        EXPECT_EQ(service::SharedCache::instance().stats().entries, 0u)
+            << defect.label;
+        daemon.shutdown();
+        coldReset();
+    }
 }
 
 // ---------------------------------------------------------------------
