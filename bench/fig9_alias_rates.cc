@@ -57,17 +57,17 @@ main()
 
     const analysis::AndersenCacheStats stats =
         analysis::andersenCacheStats();
-    json.metric("aggregate", "static-memo", "cache_hits",
-                double(stats.hits));
-    json.metric("aggregate", "static-memo", "cache_misses",
-                double(stats.misses));
+    json.metric("aggregate", "static-result-cache", "cache_hits",
+                double(stats.staticHits));
+    json.metric("aggregate", "static-result-cache", "cache_misses",
+                double(stats.staticMisses));
 
     std::printf("%s\n", table.str().c_str());
     std::printf("(alias rate = probability a random load/store pair "
                 "may alias, over the optimistic access set)\n");
-    std::printf("static-memo cache: %llu hits, %llu misses\n",
-                static_cast<unsigned long long>(stats.hits),
-                static_cast<unsigned long long>(stats.misses));
+    std::printf("static-result cache: %llu hits, %llu misses\n",
+                static_cast<unsigned long long>(stats.staticHits),
+                static_cast<unsigned long long>(stats.staticMisses));
     json.write();
     return 0;
 }

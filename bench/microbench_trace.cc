@@ -12,6 +12,11 @@
  *     fetch/decode/eval entirely, so (c) should beat (b) on delivered
  *     events/sec; the `replay_speedup` metric is (b)/(c) wall time.
  *
+ *     A 33-thread striped-lock store (the long-trace shape) adds the
+ *     scheduler floor — interpreter ns/step and steps per quantum —
+ *     and prices a cold OptFT input both ways: record plus one grouped
+ *     replay, against one recording pass with the groups attached.
+ *
  *  2. Grouped replay: the pipelines decode each capture once for all
  *     the configurations they evaluate together (TraceReplayer
  *     groups).  `grouped-replay` times that one pass on the largest
@@ -286,6 +291,128 @@ main()
     }
 
     std::printf("%s\n", table.str().c_str());
+
+    // ---- Scheduler floor and the recording pass, 33 threads ---------
+    // A striped-lock key-value store shaped like the long-trace
+    // end-to-end workload: lock blocking ends most quanta early, so
+    // the scheduler's per-quantum cost shows in ns/step.  The OptFT
+    // first-round groups (full, hybrid, optimistic + checker) are
+    // priced both ways a pipeline can run them: a recording plus one
+    // grouped replay of the capture, or one live recording pass with
+    // the groups attached (what a cold input costs).
+    {
+        const std::string name = "striped-store";
+        const auto module = workloads::makeStripedStoreModule(
+            smoke ? 128 : 512);
+        std::vector<exec::ExecConfig> profiling;
+        for (std::uint64_t seed = 1; seed <= 4; ++seed)
+            profiling.push_back(workloads::stripedStoreInput(seed));
+        exec::ExecConfig input = workloads::stripedStoreInput(99);
+
+        exec::ExecConfig scheduled = input;
+        scheduled.recordSchedule = true;
+        const exec::RunResult probe =
+            exec::Interpreter(*module, scheduled).run();
+        const double stepsPerQuantum =
+            double(probe.steps) / double(probe.schedule.size());
+
+        const bench::Sample interp = bench::measure(kReps, [&] {
+            return exec::Interpreter(*module, input)
+                .run()
+                .totalEvents.total();
+        });
+        row(name, "interpret", interp);
+
+        prof::ProfilingCampaign campaign(*module, {});
+        for (const exec::ExecConfig &config : profiling)
+            campaign.addRun(config);
+        const inv::InvariantSet invariants = campaign.invariants();
+        const auto sound = analysis::runStaticRaceDetector(*module, nullptr);
+        const auto predicated =
+            analysis::runStaticRaceDetector(*module, &invariants);
+        const auto fullPlan = dyn::fullFastTrackPlan(*module);
+        const auto hybridPlan =
+            dyn::hybridFastTrackPlan(*module, sound.racyAccesses);
+        const auto optPlan = dyn::optimisticFastTrackPlan(
+            *module, predicated.racyAccesses, invariants);
+        // The OptFT first-round groups, attachable to either source.
+        auto optFtGroups = [&](std::vector<std::unique_ptr<dyn::FastTrack>>
+                                   &tools,
+                               std::unique_ptr<dyn::InvariantChecker>
+                                   &checker) {
+            return [&](exec::DispatchCore &source) {
+                const exec::InstrumentationPlan *plans[] = {
+                    &fullPlan, &hybridPlan, &optPlan};
+                for (std::size_t g = 0; g < 3; ++g) {
+                    if (g > 0)
+                        source.addGroup();
+                    tools.push_back(std::make_unique<dyn::FastTrack>());
+                    source.attach(tools.back().get(), plans[g]);
+                }
+                dyn::CheckerConfig checkerConfig;
+                checkerConfig.callContexts = false;
+                checker = std::make_unique<dyn::InvariantChecker>(
+                    *module, invariants, checkerConfig);
+                checker->setControl(&source.control(2));
+                source.attach(checker.get(), &checker->plan());
+            };
+        };
+
+        const bench::Sample record = bench::measure(kReps, [&] {
+            return exec::recordRun(*module, input)
+                .result.totalEvents.total();
+        });
+        row(name, "record", record);
+
+        const exec::RecordedTrace trace = exec::recordRun(*module, input);
+        const bench::Sample replay = bench::measure(kReps, [&] {
+            std::vector<std::unique_ptr<dyn::FastTrack>> tools;
+            std::unique_ptr<dyn::InvariantChecker> checker;
+            exec::replayRun(*module, trace, optFtGroups(tools, checker));
+            return trace.result.totalEvents.total();
+        });
+        row(name, "optft-replay", replay);
+
+        const bench::Sample fused = bench::measure(kReps, [&] {
+            std::vector<std::unique_ptr<dyn::FastTrack>> tools;
+            std::unique_ptr<dyn::InvariantChecker> checker;
+            std::vector<exec::RunResult> groups;
+            return exec::recordRun(*module, input, {},
+                                   optFtGroups(tools, checker), groups)
+                .result.totalEvents.total();
+        });
+        row(name, "optft-recording-pass", fused);
+
+        const double nsPerStep =
+            interp.medianMs * 1e6 / double(probe.steps);
+        json.metric(name, "interpret", "ns_per_step", nsPerStep);
+        json.metric(name, "interpret", "steps_per_quantum",
+                    stepsPerQuantum);
+        const double coldSpeedup =
+            fused.medianMs > 0
+                ? (record.medianMs + replay.medianMs) / fused.medianMs
+                : 0;
+        json.metric(name, "optft-recording-pass", "cold_input_speedup",
+                    coldSpeedup);
+        TextTable storeTable({"variant", "median ms", "p90 ms"});
+        for (const auto &[variant, sample] :
+             {std::pair<const char *, const bench::Sample *>{"interpret",
+                                                             &interp},
+              {"record", &record},
+              {"optft-replay", &replay},
+              {"optft-recording-pass", &fused}}) {
+            storeTable.addRow({variant, fmtDouble(sample->medianMs, 2),
+                               fmtDouble(sample->p90Ms, 2)});
+        }
+        std::printf("%s (33 threads, %llu steps): %.1f ns/step, %.2f "
+                    "steps/quantum; cold OptFT input: record + replay "
+                    "= %.2f ms, recording pass = %.2f ms (%.2fx)\n%s\n",
+                    name.c_str(),
+                    static_cast<unsigned long long>(probe.steps),
+                    nsPerStep, stepsPerQuantum,
+                    record.medianMs + replay.medianMs, fused.medianMs,
+                    coldSpeedup, storeTable.str().c_str());
+    }
 
     // ---- Segmented spill capture + mmap-backed replay ---------------
     // Force the largest capture through the spill path (~8 segments)

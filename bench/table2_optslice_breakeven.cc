@@ -64,17 +64,17 @@ main()
 
     const analysis::AndersenCacheStats stats =
         analysis::andersenCacheStats();
-    json.metric("aggregate", "static-memo", "cache_hits",
-                double(stats.hits));
-    json.metric("aggregate", "static-memo", "cache_misses",
-                double(stats.misses));
+    json.metric("aggregate", "static-result-cache", "cache_hits",
+                double(stats.staticHits));
+    json.metric("aggregate", "static-result-cache", "cache_misses",
+                double(stats.staticMisses));
 
     std::printf("%s\n", table.str().c_str());
     std::printf("(AT = analysis type: the most accurate of CS/CI that "
                 "completes within budget; times are modeled seconds)\n");
-    std::printf("static-memo cache: %llu hits, %llu misses\n",
-                static_cast<unsigned long long>(stats.hits),
-                static_cast<unsigned long long>(stats.misses));
+    std::printf("static-result cache: %llu hits, %llu misses\n",
+                static_cast<unsigned long long>(stats.staticHits),
+                static_cast<unsigned long long>(stats.staticMisses));
     json.write();
     return 0;
 }

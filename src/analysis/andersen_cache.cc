@@ -154,16 +154,16 @@ probeLocked(SharedCache &sc, Map &map,
 {
     auto it = map.find(key);
     if (it == map.end()) {
-        sc.noteMiss();
+        sc.noteMiss(service::CacheSection::StaticResult);
         return nullptr;
     }
     if (!(it->second.verify == verify)) {
-        sc.noteVerifiedMiss();
+        sc.noteVerifiedMiss(service::CacheSection::StaticResult);
         sc.lru().remove(it->second.handle);
         map.erase(it);
         return nullptr;
     }
-    sc.noteHit();
+    sc.noteHit(service::CacheSection::StaticResult);
     sc.lru().touch(it->second.handle);
     return it->second.result;
 }
@@ -443,6 +443,10 @@ andersenCacheStats()
     out.entries = stats.entries;
     out.bytesCached = stats.bytesCached;
     out.byteBudget = stats.byteBudget;
+    const service::SectionStats &statics =
+        stats.section(service::CacheSection::StaticResult);
+    out.staticHits = statics.hits;
+    out.staticMisses = statics.misses;
     return out;
 }
 

@@ -59,8 +59,14 @@ namespace oha::analysis {
  *  counters — see service::SharedCacheStats for field semantics). */
 struct AndersenCacheStats
 {
+    /** Totals over every shared-cache section: static results, trace
+     *  captures and profiling observations. */
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
+    /** The static-result section alone (Andersen, static-race and
+     *  slice-set results). */
+    std::uint64_t staticHits = 0;
+    std::uint64_t staticMisses = 0;
     /** Primary-fingerprint hits rejected by the secondary-fingerprint
      *  verification (real collisions, served as fresh solves). */
     std::uint64_t verifiedMisses = 0;

@@ -30,52 +30,34 @@ struct FtRun
     bool violated = false;
 };
 
-FtRun
-runFastTrack(const ir::Module &module, const exec::ExecConfig &config,
-             const exec::InstrumentationPlan &plan,
-             dyn::InvariantChecker *checker = nullptr)
-{
-    FtRun out;
-    dyn::FastTrack tool;
-    exec::Interpreter interp(module, config);
-    interp.attach(&tool, &plan);
-    if (checker) {
-        checker->setControl(&interp);
-        interp.attach(checker, &checker->plan());
-    }
-    out.result = interp.run();
-    out.races = tool.racePairs();
-    out.ftDelivered = out.result.delivered[0];
-    if (checker) {
-        out.checkerDelivered = out.result.delivered[1];
-        out.slowChecks = checker->slowContextChecks();
-        out.violated = checker->violated();
-    }
-    return out;
-}
-
-/** Same analysis, driven from a recorded trace instead of a live
- *  interpreter (record-once/analyze-many), for several plans in one
- *  decode pass: group g runs FastTrack under plans[g], and @p checker
- *  (when given) joins the last group.  Each FtRun is byte-identical to
- *  a live run of that plan alone. */
+/**
+ * FastTrack under several plans in one pass over an execution: group
+ * g runs FastTrack under plans[g], and @p checker (when given) joins
+ * the last group.  @p pass attaches the groups to an event source and
+ * runs it: a live interpreter, the recording pass of a cold input, or
+ * a replay of its capture.  Each FtRun is byte-identical to a live run
+ * of that plan alone.
+ */
 std::vector<FtRun>
-replayFastTrack(const ir::Module &module, const exec::RecordedTrace &trace,
-                const std::vector<const exec::InstrumentationPlan *> &plans,
-                dyn::InvariantChecker *checker = nullptr)
+fastTrackGroups(
+    const std::vector<const exec::InstrumentationPlan *> &plans,
+    dyn::InvariantChecker *checker,
+    const std::function<std::vector<exec::RunResult>(
+        const exec::GroupSetup &)> &pass)
 {
     std::vector<dyn::FastTrack> tools(plans.size());
-    exec::TraceReplayer replayer(module, trace);
-    for (std::size_t g = 0; g < plans.size(); ++g) {
-        if (g > 0)
-            replayer.addGroup();
-        replayer.attach(&tools[g], plans[g]);
-    }
-    if (checker) {
-        checker->setControl(&replayer.control(plans.size() - 1));
-        replayer.attach(checker, &checker->plan());
-    }
-    std::vector<exec::RunResult> results = replayer.runGroups();
+    std::vector<exec::RunResult> results =
+        pass([&](exec::DispatchCore &source) {
+            for (std::size_t g = 0; g < plans.size(); ++g) {
+                if (g > 0)
+                    source.addGroup();
+                source.attach(&tools[g], plans[g]);
+            }
+            if (checker) {
+                checker->setControl(&source.control(plans.size() - 1));
+                source.attach(checker, &checker->plan());
+            }
+        });
     std::vector<FtRun> out(plans.size());
     for (std::size_t g = 0; g < plans.size(); ++g) {
         out[g].result = std::move(results[g]);
@@ -89,6 +71,34 @@ replayFastTrack(const ir::Module &module, const exec::RecordedTrace &trace,
         last.violated = checker->violated();
     }
     return out;
+}
+
+/** One live run of FastTrack under @p plan (with @p checker). */
+FtRun
+runFastTrack(const ir::Module &module, const exec::ExecConfig &config,
+             const exec::InstrumentationPlan &plan,
+             dyn::InvariantChecker *checker = nullptr)
+{
+    return std::move(
+        fastTrackGroups({&plan}, checker,
+                        [&](const exec::GroupSetup &setup) {
+                            exec::Interpreter interp(module, config);
+                            setup(interp);
+                            return interp.runGroups();
+                        })
+            .front());
+}
+
+/** fastTrackGroups over a replay of @p trace. */
+std::vector<FtRun>
+replayFastTrack(const ir::Module &module, const exec::RecordedTrace &trace,
+                const std::vector<const exec::InstrumentationPlan *> &plans,
+                dyn::InvariantChecker *checker = nullptr)
+{
+    return fastTrackGroups(plans, checker,
+                           [&](const exec::GroupSetup &setup) {
+                               return exec::replayRun(module, trace, setup);
+                           });
 }
 
 /** Lock and unlock sites in profiled-visited code. */
@@ -489,16 +499,11 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
 
     const std::size_t numTests = workload.testingSet.size();
 
-    // Record once, analyze many: one uninstrumented execution per
-    // input captures the event stream; every analysis configuration
-    // (and every adaptive re-evaluation) replays it.
-    std::vector<std::shared_ptr<const exec::RecordedTrace>> traces;
-    if (config.useTraceReplay) {
-        traces = support::runBatch(
-            numTests,
-            [&](std::size_t i) { return capture(workload.testingSet[i]); },
-            config.threads);
-    }
+    // Record once, analyze many: one execution per input captures the
+    // event stream, and every later re-evaluation (a rollback round)
+    // replays it.  The first round needs no replay of a cold input: its
+    // configurations run on the recording pass itself.
+    std::vector<std::shared_ptr<const exec::RecordedTrace>> traces(numTests);
 
     // Reference runs.  Full and hybrid FastTrack do not depend on the
     // speculative plan, so they are evaluated once per input; the
@@ -548,9 +553,10 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
         return eval;
     };
 
-    // In record-once mode one decode pass per capture evaluates the
-    // references and the first round together, as three replay
-    // groups: full, hybrid, and optimistic plus its checker.
+    // In record-once mode one pass per input evaluates the references
+    // and the first round together, as three groups: full, hybrid, and
+    // optimistic plus its checker.  A cold input runs them live on its
+    // recording pass; a capture from the shared cache replays them.
     std::vector<RefEval> refs(numTests);
     std::vector<OptEval> fusedRound;
     if (config.useTraceReplay) {
@@ -559,9 +565,15 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
             [&](std::size_t i) {
                 dyn::InvariantChecker checker(module, invariants,
                                               checkerConfig);
-                std::vector<FtRun> runs = replayFastTrack(
-                    module, *traces[i], {&fullPlan, &hybridPlan, &optPlan},
-                    &checker);
+                std::vector<FtRun> runs = fastTrackGroups(
+                    {&fullPlan, &hybridPlan, &optPlan}, &checker,
+                    [&](const exec::GroupSetup &setup) {
+                        exec::AnalyzedCapture run = exec::captureAndAnalyze(
+                            workload.module, workload.testingSet[i], setup,
+                            config.cacheTraceCaptures);
+                        traces[i] = std::move(run.trace);
+                        return std::move(run.groups);
+                    });
                 return std::pair<RefEval, OptEval>{
                     {std::move(runs[0]), std::move(runs[1])},
                     judge(std::move(runs[2]), checker)};

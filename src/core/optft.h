@@ -54,14 +54,13 @@ struct OptFtConfig
      *  value — only wall-clock time changes. */
     std::size_t threads = 0;
     /** Record-once/analyze-many: execute each testing (and
-     *  calibration) input once with a TraceRecorder, then drive the
-     *  full/hybrid/optimistic FastTrack configurations — and the
-     *  rollback re-analysis — from TraceReplayer instead of
-     *  re-interpreting, all three in one decode pass per capture
-     *  (later adaptive rounds replay the optimistic configuration
-     *  alone).  All reported results are byte-identical to the direct
-     *  path; only interpretedSteps/replayedEvents (and wall-clock
-     *  time) differ. */
+     *  calibration) input once with a TraceRecorder.  A cold testing
+     *  input runs the full/hybrid/optimistic FastTrack configurations
+     *  live on that recording pass; a cached capture replays them in
+     *  one decode pass; later adaptive rounds replay the optimistic
+     *  configuration alone.  All reported results are byte-identical
+     *  to the direct path; only interpretedSteps/replayedEvents (and
+     *  wall-clock time) differ. */
     bool useTraceReplay = true;
     /** With useTraceReplay: serve captures from the shared
      *  cross-request cache (exec/trace_cache.h) instead of recording
@@ -145,7 +144,10 @@ struct OptFtResult
     // must exclude them.
     /** Guest instructions actually pushed through fetch/decode/eval. */
     std::uint64_t interpretedSteps = 0;
-    /** Event records decoded from traces (0 on the direct path). */
+    /** Events the record-once configurations covered, counted as
+     *  one replay of the capture per configuration — a cold input
+     *  analysed on its recording pass counts the same as a warm
+     *  replay (0 on the direct path). */
     std::uint64_t replayedEvents = 0;
 
     // Modeled record/replay costs (seconds).  Additive metrics only:

@@ -160,69 +160,47 @@ struct GiriRun
     std::uint64_t missingDeps = 0;
 };
 
-GiriRun
-runGiri(const ir::Module &module, const exec::ExecConfig &config,
-        const exec::InstrumentationPlan &plan,
-        const std::vector<InstrId> &endpoints,
-        dyn::InvariantChecker *checker = nullptr)
-{
-    GiriRun out;
-    dyn::GiriSlicer tool(module);
-    exec::Interpreter interp(module, config);
-    interp.attach(&tool, &plan);
-    if (checker) {
-        checker->setControl(&interp);
-        interp.attach(checker, &checker->plan());
-    }
-    out.result = interp.run();
-    for (InstrId endpoint : endpoints)
-        out.slices[endpoint] = tool.slice(endpoint);
-    out.delivered = out.result.delivered[0];
-    if (checker) {
-        out.checkerDelivered = out.result.delivered[1];
-        out.slowChecks = checker->slowContextChecks();
-        out.violated = checker->violated();
-    }
-    out.missingDeps = tool.missingDependencies();
-    return out;
-}
-
-/** One Giri slicer of a replay group: its plan and endpoint. */
+/** One Giri slicer of a group: its plan and endpoint. */
 struct SliceTarget
 {
     const exec::InstrumentationPlan *plan;
     InstrId endpoint;
 };
 
-/** Slicing runs driven from a recorded trace instead of a live
- *  interpreter (record-once/analyze-many), all in one decode pass:
- *  each entry of @p groups is one replay group of Giri slicers, and
- *  @p checker (when given) joins the last group, shared by its
- *  slicers.  Returns one GiriRun per slicer, byte-identical to a live
- *  run of that slicer alone (with its own checker, for the last
- *  group).  The trace is read-only, so many tasks may replay it
- *  concurrently. */
+/**
+ * Slicing runs in one pass over an execution: each entry of
+ * @p groups is one group of Giri slicers, and @p checker (when given)
+ * joins the last group, shared by its slicers.  @p pass attaches the
+ * groups to an event source and runs it: a live interpreter, the
+ * recording pass of a cold input, or a replay of its capture.
+ * Returns one GiriRun per slicer, byte-identical to a live run of that
+ * slicer alone (with its own checker, for the last group).
+ */
 std::vector<std::vector<GiriRun>>
-replayGiri(const ir::Module &module, const exec::RecordedTrace &trace,
+giriGroups(const ir::Module &module,
            const std::vector<std::vector<SliceTarget>> &groups,
-           dyn::InvariantChecker *checker = nullptr)
+           dyn::InvariantChecker *checker,
+           const std::function<std::vector<exec::RunResult>(
+               const exec::GroupSetup &)> &pass)
 {
     std::vector<std::vector<std::unique_ptr<dyn::GiriSlicer>>> tools(
         groups.size());
-    exec::TraceReplayer replayer(module, trace);
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-        if (g > 0)
-            replayer.addGroup();
-        for (const SliceTarget &target : groups[g]) {
-            tools[g].push_back(std::make_unique<dyn::GiriSlicer>(module));
-            replayer.attach(tools[g].back().get(), target.plan);
-        }
-    }
-    if (checker) {
-        checker->setControl(&replayer.control(groups.size() - 1));
-        replayer.attach(checker, &checker->plan());
-    }
-    const std::vector<exec::RunResult> results = replayer.runGroups();
+    const std::vector<exec::RunResult> results =
+        pass([&](exec::DispatchCore &source) {
+            for (std::size_t g = 0; g < groups.size(); ++g) {
+                if (g > 0)
+                    source.addGroup();
+                for (const SliceTarget &target : groups[g]) {
+                    tools[g].push_back(
+                        std::make_unique<dyn::GiriSlicer>(module));
+                    source.attach(tools[g].back().get(), target.plan);
+                }
+            }
+            if (checker) {
+                checker->setControl(&source.control(groups.size() - 1));
+                source.attach(checker, &checker->plan());
+            }
+        });
 
     std::vector<std::vector<GiriRun>> out(groups.size());
     for (std::size_t g = 0; g < groups.size(); ++g) {
@@ -246,6 +224,23 @@ replayGiri(const ir::Module &module, const exec::RecordedTrace &trace,
         }
     }
     return out;
+}
+
+/** One live run of a Giri slicer under @p plan (with @p checker). */
+GiriRun
+runGiri(const ir::Module &module, const exec::ExecConfig &config,
+        const exec::InstrumentationPlan &plan, InstrId endpoint,
+        dyn::InvariantChecker *checker = nullptr)
+{
+    return std::move(
+        giriGroups(module, {{{&plan, endpoint}}}, checker,
+                   [&](const exec::GroupSetup &setup) {
+                       exec::Interpreter interp(module, config);
+                       setup(interp);
+                       return interp.runGroups();
+                   })
+            .front()
+            .front());
 }
 
 } // namespace
@@ -400,26 +395,15 @@ runOptSlice(const workloads::Workload &workload,
     checkerConfig.guardingLocks = false;
     checkerConfig.singletonThreads = false;
 
-    // Record-once mode: capture every testing input's trace exactly
-    // once, up front.  The traces are immutable afterwards, so the
-    // passes below replay them concurrently without synchronization.
-    // With cacheTraceCaptures the captures come from (and feed) the
-    // shared cross-request cache, so a warm service request skips
-    // even the one recording execution.
-    std::vector<std::shared_ptr<const exec::RecordedTrace>> traces;
-    if (config.useTraceReplay) {
-        traces = support::runBatch(
-            workload.testingSet.size(),
-            [&](std::size_t i) {
-                return config.cacheTraceCaptures
-                           ? exec::recordRunMemo(moduleSp,
-                                                 workload.testingSet[i])
-                           : std::make_shared<const exec::RecordedTrace>(
-                                 exec::recordRun(module,
-                                                 workload.testingSet[i]));
-            },
-            config.threads);
-    }
+    // Record-once mode: every testing input executes exactly once.  A
+    // cold input runs its first pass live, with the recorder attached;
+    // its other passes (further endpoint ranges, later rounds) replay
+    // the capture.  The captures are immutable, so those replays run
+    // concurrently without synchronization.  With cacheTraceCaptures
+    // the captures come from (and feed) the shared cross-request
+    // cache, so a warm service request skips even the one execution.
+    std::vector<std::shared_ptr<const exec::RecordedTrace>> traces(
+        workload.testingSet.size());
 
     // Every (testing input, endpoint) pair is an independent slicing
     // task, ordered input-major.  The hybrid references do not depend
@@ -456,20 +440,21 @@ runOptSlice(const workloads::Workload &workload,
         return eval;
     };
 
-    // Record-once rounds: one decode pass per (input, endpoint range)
-    // covers the round's tasks [start, tasks).  The range's optimistic
-    // slicers form one replay group sharing one checker — its plan and
-    // state depend only on (invariants, checkerConfig), so per-slicer
+    // Record-once rounds: one pass per (input, endpoint range) covers
+    // the round's tasks [start, tasks).  The range's optimistic
+    // slicers form one group sharing one checker — its plan and state
+    // depend only on (invariants, checkerConfig), so per-slicer
     // checkers would see identical events and produce identical
     // counts.  With `refsOut` the pass also evaluates the hybrid
     // references of the range as a second group.  Ranges are sized so
-    // a pass fits the replayer's attachment limit (E = 3 endpoints:
-    // 3 hybrid + 3 optimistic + 1 checker).
-    auto replayRound = [&](std::size_t start,
-                           std::vector<GiriRun> *refsOut) {
+    // a pass fits the attachment limit (E = 3 endpoints: 3 hybrid + 3
+    // optimistic + 1 checker).  An input's first pass records its
+    // capture when it has none yet (analysis on the recording pass);
+    // every other pass replays the capture, so it runs after that one.
+    auto runRound = [&](std::size_t start, std::vector<GiriRun> *refsOut) {
         const std::size_t perPass =
-            refsOut ? (exec::TraceReplayer::kMaxAttachments - 1) / 2
-                    : exec::TraceReplayer::kMaxAttachments - 1;
+            refsOut ? (exec::DispatchCore::kMaxAttachments - 1) / 2
+                    : exec::DispatchCore::kMaxAttachments - 1;
         struct Pass
         {
             std::size_t input, firstEndpoint, endEndpoint;
@@ -488,31 +473,58 @@ runOptSlice(const workloads::Workload &workload,
             std::vector<GiriRun> refs;
             std::vector<OptEval> opts;
         };
-        std::vector<PassEval> evals = support::runBatch(
-            passes.size(),
-            [&](std::size_t p) {
-                const Pass &pass = passes[p];
-                std::vector<std::vector<SliceTarget>> groups(refsOut ? 2
-                                                                     : 1);
-                for (std::size_t e = pass.firstEndpoint;
-                     e < pass.endEndpoint; ++e) {
-                    if (refsOut)
-                        groups.front().push_back(
-                            {&hybridPlans[e], endpoints[e]});
-                    groups.back().push_back({&optPlans[e], endpoints[e]});
-                }
-                dyn::InvariantChecker checker(module, invariants,
-                                              checkerConfig);
-                std::vector<std::vector<GiriRun>> runs = replayGiri(
-                    module, *traces[pass.input], groups, &checker);
-                PassEval eval;
+        auto evalPass = [&](const Pass &pass, bool record) {
+            std::vector<std::vector<SliceTarget>> groups(refsOut ? 2 : 1);
+            for (std::size_t e = pass.firstEndpoint; e < pass.endEndpoint;
+                 ++e) {
                 if (refsOut)
-                    eval.refs = std::move(runs.front());
-                for (GiriRun &run : runs.back())
-                    eval.opts.push_back(judge(std::move(run), checker));
-                return eval;
-            },
-            config.threads);
+                    groups.front().push_back(
+                        {&hybridPlans[e], endpoints[e]});
+                groups.back().push_back({&optPlans[e], endpoints[e]});
+            }
+            dyn::InvariantChecker checker(module, invariants,
+                                          checkerConfig);
+            std::vector<std::vector<GiriRun>> runs = giriGroups(
+                module, groups, &checker,
+                [&](const exec::GroupSetup &setup) {
+                    if (!record)
+                        return exec::replayRun(module, *traces[pass.input],
+                                               setup);
+                    exec::AnalyzedCapture run = exec::captureAndAnalyze(
+                        moduleSp, workload.testingSet[pass.input], setup,
+                        config.cacheTraceCaptures);
+                    traces[pass.input] = std::move(run.trace);
+                    return std::move(run.groups);
+                });
+            PassEval eval;
+            if (refsOut)
+                eval.refs = std::move(runs.front());
+            for (GiriRun &run : runs.back())
+                eval.opts.push_back(judge(std::move(run), checker));
+            return eval;
+        };
+        // Recording passes first, then the replays that read their
+        // captures.
+        std::vector<std::size_t> recording, replaying;
+        for (std::size_t p = 0; p < passes.size(); ++p) {
+            const bool firstOfInput =
+                p == 0 || passes[p - 1].input != passes[p].input;
+            (firstOfInput && !traces[passes[p].input] ? recording
+                                                      : replaying)
+                .push_back(p);
+        }
+        std::vector<PassEval> evals(passes.size());
+        for (const std::vector<std::size_t> *wave : {&recording, &replaying}) {
+            const bool record = wave == &recording;
+            std::vector<PassEval> done = support::runBatch(
+                wave->size(),
+                [&](std::size_t k) {
+                    return evalPass(passes[(*wave)[k]], record);
+                },
+                config.threads);
+            for (std::size_t k = 0; k < wave->size(); ++k)
+                evals[(*wave)[k]] = std::move(done[k]);
+        }
         std::vector<OptEval> round;
         for (std::size_t p = 0; p < passes.size(); ++p) {
             const std::size_t firstTask =
@@ -531,7 +543,7 @@ runOptSlice(const workloads::Workload &workload,
     std::vector<GiriRun> refs(tasks);
     std::vector<OptEval> fusedRound;
     if (config.useTraceReplay) {
-        fusedRound = replayRound(0, &refs);
+        fusedRound = runRound(0, &refs);
     } else {
         refs = support::runBatch(
             tasks,
@@ -539,7 +551,7 @@ runOptSlice(const workloads::Workload &workload,
                 const std::size_t e = task % numEndpoints;
                 return runGiri(module,
                                workload.testingSet[task / numEndpoints],
-                               hybridPlans[e], {endpoints[e]});
+                               hybridPlans[e], endpoints[e]);
             },
             config.threads);
     }
@@ -567,7 +579,7 @@ runOptSlice(const workloads::Workload &workload,
         if (!fusedRound.empty()) {
             round.swap(fusedRound); // evaluated with the references
         } else if (config.useTraceReplay) {
-            round = replayRound(start, nullptr);
+            round = runRound(start, nullptr);
         } else {
             round = support::runBatch(
                 tasks - start,
@@ -579,7 +591,7 @@ runOptSlice(const workloads::Workload &workload,
                     return judge(
                         runGiri(module,
                                 workload.testingSet[task / numEndpoints],
-                                optPlans[e], {endpoints[e]}, &checker),
+                                optPlans[e], endpoints[e], &checker),
                         checker);
                 },
                 config.threads);
@@ -638,7 +650,8 @@ runOptSlice(const workloads::Workload &workload,
     // at capture time, regardless of how many endpoint tasks share it.
     if (config.useTraceReplay) {
         for (const auto &trace : traces)
-            result.interpretedSteps += trace->result.steps;
+            if (trace) // none when there is no endpoint to slice
+                result.interpretedSteps += trace->result.steps;
     }
 
     // Fold serially in task order, so cost accumulation — including

@@ -51,10 +51,12 @@ struct OptSliceConfig
      *  value — only wall-clock time changes. */
     std::size_t threads = 0;
     /** Record-once/analyze-many: execute each testing input once with
-     *  a TraceRecorder, then drive every per-endpoint hybrid and
-     *  optimistic Giri configuration — and the rollback re-analysis —
-     *  from TraceReplayer, one decode pass per input and round (more
-     *  when the endpoints' slicers exceed one pass's attachments).
+     *  a TraceRecorder, running the first endpoint range's hybrid and
+     *  optimistic Giri configurations live on that recording pass
+     *  when the capture is cold; every other pass (further endpoint
+     *  ranges, later rounds, cached captures) replays the capture,
+     *  one pass per input and round (more when the endpoints'
+     *  slicers exceed one pass's attachments).
      *  All reported results are byte-identical to the direct path;
      *  only interpretedSteps/replayedEvents (and wall-clock time)
      *  differ. */

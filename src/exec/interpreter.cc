@@ -44,14 +44,6 @@ Interpreter::Interpreter(const ir::Module &module, ExecConfig config)
     OHA_ASSERT(module.finalized(), "interpreter requires finalized module");
 }
 
-void
-Interpreter::attach(Tool *tool, const InstrumentationPlan *plan)
-{
-    OHA_ASSERT(tool && plan);
-    attachments_.push_back({tool, plan});
-    delivered_.emplace_back();
-}
-
 InstrId
 Interpreter::objectAllocSite(ObjectId obj) const
 {
@@ -107,72 +99,47 @@ Interpreter::guestError(const std::string &message)
 }
 
 void
-Interpreter::requestAbort(std::string reason)
-{
-    if (!abortRequested_) {
-        abortRequested_ = true;
-        abortReason_ = std::move(reason);
-    }
-}
-
-void
-Interpreter::requestAbort(std::string reason, const AbortMetadata &meta)
-{
-    if (!abortRequested_) {
-        abortMeta_ = meta;
-        requestAbort(std::move(reason));
-    }
-}
-
-void
-Interpreter::buildDispatchTables()
-{
-    const std::size_t numInstrs = module_.numInstrs();
-    const std::size_t numBlocks = module_.numBlocks();
-    OHA_ASSERT(attachments_.size() <= 8,
-               "dispatch masks hold at most 8 attachments");
-    dispatch_.resize(numInstrs);
-    for (InstrId id = 0; id < numInstrs; ++id) {
-        dispatch_[id] = static_cast<std::uint16_t>(
-            static_cast<std::uint16_t>(eventClassOf(module_.instr(id).op))
-            << 8);
-    }
-    blockMask_.assign(numBlocks, 0);
-    for (std::size_t i = 0; i < attachments_.size(); ++i) {
-        const InstrumentationPlan &plan = *attachments_[i].plan;
-        const auto bit = static_cast<std::uint16_t>(1u << i);
-        for (InstrId id = 0; id < numInstrs; ++id)
-            if (plan.coversInstr(id))
-                dispatch_[id] |= bit;
-        for (BlockId id = 0; id < numBlocks; ++id)
-            if (plan.coversBlock(id))
-                blockMask_[id] |= static_cast<std::uint8_t>(1u << i);
-    }
-}
-
-void
-Interpreter::fireEvent(const EventCtx &ctx, std::uint8_t mask,
-                       EventClass cls)
-{
-    for (; mask; mask &= static_cast<std::uint8_t>(mask - 1)) {
-        const unsigned i = static_cast<unsigned>(std::countr_zero(mask));
-        ++delivered_[i][cls];
-        attachments_[i].tool->onEvent(ctx);
-    }
-}
-
-void
 Interpreter::fireBlockEnter(ThreadId tid, BlockId block)
 {
     ++totalEvents_[EventClass::BlockEnter];
     if (recorder_)
         recorder_->recordBlockEnter(tid, block);
-    std::uint8_t mask = blockMask_[block];
-    for (; mask; mask &= static_cast<std::uint8_t>(mask - 1)) {
-        const unsigned i = static_cast<unsigned>(std::countr_zero(mask));
-        ++delivered_[i][EventClass::BlockEnter];
-        attachments_[i].tool->onBlockEnter(tid, block);
-    }
+    deliverBlockEnter(tid, block);
+}
+
+void
+Interpreter::blockOn(ThreadCtx &thread, ThreadState state,
+                     ThreadSet &waiters)
+{
+    thread.state = state;
+    runnable_.erase(thread.tid);
+    waiters.insert(thread.tid);
+}
+
+template <typename Pred>
+void
+Interpreter::wake(ThreadSet &waiters, Pred blockedOn)
+{
+    waiters.forEach([&](ThreadId tid) {
+        ThreadCtx &waiter = threads_[tid];
+        if (!blockedOn(waiter))
+            return;
+        waiter.state = ThreadState::Runnable;
+        waiters.erase(tid);
+        runnable_.insert(tid);
+    });
+}
+
+void
+Interpreter::freezeAtBoundary()
+{
+    Progress at;
+    at.steps = steps_;
+    at.totalEvents = totalEvents_;
+    at.numThreads = static_cast<std::uint32_t>(threads_.size());
+    at.outputs = outputs_.size();
+    at.schedule = schedule_.size();
+    freezeAbortedGroups(at);
 }
 
 void
@@ -209,17 +176,15 @@ Interpreter::popFrame(ThreadCtx &thread, const Value &retVal)
         // Thread root returned: the thread is finished.
         thread.retVal = retVal;
         thread.state = ThreadState::Finished;
+        runnable_.erase(thread.tid);
+        --liveThreads_;
         if (recorder_)
             recorder_->recordThreadFinish(thread.tid);
-        for (auto &attachment : attachments_)
-            attachment.tool->onThreadFinish(thread.tid);
-        // Wake joiners.
-        for (auto &other : threads_) {
-            if (other.state == ThreadState::BlockedOnJoin &&
-                other.waitTid == thread.tid) {
-                other.state = ThreadState::Runnable;
-            }
-        }
+        deliverThreadFinish(thread.tid);
+        const ThreadId done = thread.tid;
+        wake(joinWaiters_, [done](const ThreadCtx &joiner) {
+            return joiner.waitTid == done;
+        });
         return;
     }
     Frame &caller = thread.stack.back();
@@ -237,10 +202,11 @@ Interpreter::spawnThread(const ir::Function *func,
     ThreadCtx &thread = threads_.back();
     thread.tid = tid;
     thread.spawnSite = spawnSite;
+    runnable_.insert(tid);
+    ++liveThreads_;
     if (recorder_)
         recorder_->recordThreadStart(tid, parent, spawnSite);
-    for (auto &attachment : attachments_)
-        attachment.tool->onThreadStart(tid, parent, spawnSite);
+    deliverThreadStart(tid, parent, spawnSite);
     pushFrame(thread, func, args, nullptr);
     return tid;
 }
@@ -256,7 +222,14 @@ Interpreter::runQuantum(std::uint32_t pick, std::uint64_t quantum)
         ThreadCtx &thread = threads_[pick];
         if (thread.state != ThreadState::Runnable)
             return;
-        if (steps_ >= config_.maxSteps || abortRequested_)
+        // Instruction boundary: a group whose tool aborted during the
+        // previous instruction stops here.
+        if (abortPending()) {
+            freezeAtBoundary();
+            if (runningGroups() == 0 && !recorder_)
+                return;
+        }
+        if (steps_ >= config_.maxSteps)
             return;
 
         // Instruction-boundary marker for trace capture: the next
@@ -279,7 +252,7 @@ Interpreter::runQuantum(std::uint32_t pick, std::uint64_t quantum)
         // does cost nothing, as the paper's speedup model assumes
         // (Section 2.3).
         const std::uint16_t disp = dispatch_[ins.id];
-        const auto evMask = static_cast<std::uint8_t>(disp & 0xff);
+        const auto evMask = static_cast<std::uint8_t>(disp & active_);
         const auto cls = static_cast<EventClass>(disp >> 8);
 
         // The context stays uninitialized on uninstrumented sites:
@@ -309,7 +282,7 @@ Interpreter::runQuantum(std::uint32_t pick, std::uint64_t quantum)
             if (recorder_)
                 recorder_->recordEvent(tid, ins, ctx);
             if (evMask)
-                fireEvent(ctx, evMask, cls);
+                deliverEvent(ctx, evMask, cls);
         };
 
         auto pointerOperand = [&](ir::Reg r) -> const Value & {
@@ -471,8 +444,8 @@ Interpreter::runQuantum(std::uint32_t pick, std::uint64_t quantum)
             if (owner == tid + 1)
                 guestError("recursive lock acquisition");
             if (owner != 0) {
-                thread.state = ThreadState::BlockedOnLock;
                 thread.waitObj = ptr.obj;
+                blockOn(thread, ThreadState::BlockedOnLock, lockWaiters_);
                 return;
             }
             lockOwner_[ptr.obj] = tid + 1;
@@ -496,12 +469,10 @@ Interpreter::runQuantum(std::uint32_t pick, std::uint64_t quantum)
             ++fr.ip;
             fire();
             lockOwner_[ptr.obj] = 0;
-            for (auto &other : threads_) {
-                if (other.state == ThreadState::BlockedOnLock &&
-                    other.waitObj == ptr.obj) {
-                    other.state = ThreadState::Runnable;
-                }
-            }
+            const ObjectId released = ptr.obj;
+            wake(lockWaiters_, [released](const ThreadCtx &waiter) {
+                return waiter.waitObj == released;
+            });
             break;
           }
           case Opcode::Spawn: {
@@ -531,8 +502,8 @@ Interpreter::runQuantum(std::uint32_t pick, std::uint64_t quantum)
                 guestError("join of non-thread value");
             ThreadCtx &target = threads_[handle.idx];
             if (target.state != ThreadState::Finished) {
-                thread.state = ThreadState::BlockedOnJoin;
                 thread.waitTid = handle.idx;
+                blockOn(thread, ThreadState::BlockedOnJoin, joinWaiters_);
                 return;
             }
             if (ins.dest != ir::kNoReg)
@@ -575,14 +546,14 @@ Interpreter::runQuantum(std::uint32_t pick, std::uint64_t quantum)
     }
 }
 
-RunResult
-Interpreter::run()
+std::vector<RunResult>
+Interpreter::runGroups(RunResult *executionOut)
 {
-    RunResult result;
+    RunResult execution;
 
     // Snapshot the attachments' plans into flat per-site dispatch
     // masks; from here on coverage is one byte load per event.
-    buildDispatchTables();
+    beginPass(module_);
 
     // Globals become heap objects [0, numGlobals) so GlobalAddr can
     // use the global id directly as the object id.
@@ -596,35 +567,34 @@ Interpreter::run()
     try {
         spawnThread(mainFunc, {}, kNoInstr, 0);
 
-        std::vector<std::uint32_t> runnable;
         while (true) {
-            if (abortRequested_) {
-                result.status = RunResult::Status::Aborted;
-                result.abortReason = abortReason_;
-                result.abortMeta = abortMeta_;
+            if (abortPending())
+                freezeAtBoundary();
+            if (runningGroups() == 0 && !recorder_) {
+                // Every group stopped; nothing is left to observe.
+                execution.status = RunResult::Status::Aborted;
                 break;
             }
             if (steps_ >= config_.maxSteps) {
-                result.status = RunResult::Status::StepLimit;
+                execution.status = RunResult::Status::StepLimit;
+                break;
+            }
+            if (runnable_.size() == 0) {
+                if (liveThreads_ > 0) {
+                    execution.status = RunResult::Status::Deadlock;
+                    execution.abortReason =
+                        "deadlock: all live threads blocked";
+                } else {
+                    execution.status = RunResult::Status::Finished;
+                }
                 break;
             }
 
-            runnable.clear();
-            bool anyLive = false;
-            for (std::uint32_t i = 0; i < threads_.size(); ++i) {
-                if (threads_[i].state == ThreadState::Runnable)
-                    runnable.push_back(i);
-                if (threads_[i].state != ThreadState::Finished)
-                    anyLive = true;
-            }
-            if (runnable.empty()) {
-                result.status = anyLive ? RunResult::Status::Deadlock
-                                        : RunResult::Status::Finished;
-                if (anyLive)
-                    result.abortReason = "deadlock: all live threads blocked";
-                break;
-            }
-
+            // The pick is the k-th runnable thread in ascending id
+            // order with k = rng.below(#runnable); the quantum is drawn
+            // after it.  The runnable set is kept incrementally, so a
+            // decision costs O(threads / 64), not a walk of every
+            // thread.
             std::uint32_t pick;
             std::uint64_t quantum;
             if (scheduleCursor_ < config_.replaySchedule.size()) {
@@ -633,15 +603,13 @@ Interpreter::run()
                     config_.replaySchedule[scheduleCursor_++];
                 pick = step.thread;
                 quantum = step.quantum;
-                if (pick >= threads_.size() ||
-                    threads_[pick].state != ThreadState::Runnable) {
+                if (!runnable_.contains(pick)) {
                     OHA_FATAL("schedule replay diverged: thread %u not "
                               "runnable",
                               pick);
                 }
             } else {
-                pick = static_cast<std::uint32_t>(
-                    runnable[rng_.below(runnable.size())]);
+                pick = runnable_.nth(rng_.below(runnable_.size()));
                 quantum = config_.minQuantum +
                           rng_.below(config_.maxQuantum -
                                      config_.minQuantum + 1);
@@ -654,17 +622,29 @@ Interpreter::run()
             runQuantum(pick, quantum);
         }
     } catch (const GuestFault &fault) {
-        result.status = RunResult::Status::RuntimeError;
-        result.abortReason = fault.message;
+        execution.status = RunResult::Status::RuntimeError;
+        execution.abortReason = fault.message;
     }
+    // An abort requested during the final instruction still stops its
+    // group, with every step counted.
+    if (abortPending())
+        freezeAtBoundary();
 
-    result.outputs = std::move(outputs_);
-    result.schedule = std::move(schedule_);
-    result.steps = steps_;
-    result.totalEvents = totalEvents_;
-    result.delivered = delivered_;
-    result.numThreads = static_cast<std::uint32_t>(threads_.size());
-    return result;
+    execution.outputs = std::move(outputs_);
+    execution.schedule = std::move(schedule_);
+    execution.steps = steps_;
+    execution.totalEvents = totalEvents_;
+    execution.numThreads = static_cast<std::uint32_t>(threads_.size());
+    if (executionOut)
+        *executionOut = execution;
+    return groupResults(std::move(execution));
+}
+
+RunResult
+Interpreter::run()
+{
+    OHA_ASSERT(numGroups() == 1, "run() executes one group");
+    return std::move(runGroups().front());
 }
 
 } // namespace oha::exec

@@ -13,29 +13,18 @@
 
 #pragma once
 
+#include <bit>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "exec/dispatch.h"
 #include "exec/event.h"
 #include "exec/value.h"
 #include "ir/module.h"
 #include "support/rng.h"
 
 namespace oha::exec {
-
-/** One scheduler decision: which thread ran, for how many steps. */
-struct ScheduleStep
-{
-    ThreadId thread;
-    std::uint32_t quantum;
-
-    bool
-    operator==(const ScheduleStep &other) const
-    {
-        return thread == other.thread && quantum == other.quantum;
-    }
-};
 
 /** Inputs that fully determine an execution. */
 struct ExecConfig
@@ -61,55 +50,100 @@ struct ExecConfig
     std::vector<ScheduleStep> replaySchedule;
 };
 
-/** Outcome and accounting of one execution. */
-struct RunResult
+/**
+ * A set of thread ids: a bitset in ascending id order plus its
+ * population count.  Insert and erase are O(1); nth(k) finds the k-th
+ * member in ascending order in O(ids / 64).  The interpreter keeps its
+ * runnable threads and its lock and join waiters in these, so a
+ * scheduling decision never walks every thread.
+ */
+class ThreadSet
 {
-    enum class Status
+  public:
+    void
+    insert(ThreadId tid)
     {
-        Finished,     ///< program ran to completion
-        Aborted,      ///< a tool requested abort (invariant violation)
-        RuntimeError, ///< the guest program faulted
-        Deadlock,     ///< all live threads blocked
-        StepLimit,    ///< maxSteps exceeded
-    };
+        const std::size_t word = tid >> 6;
+        if (word >= words_.size())
+            words_.resize(word + 1, 0);
+        const std::uint64_t bit = std::uint64_t{1} << (tid & 63);
+        count_ += (words_[word] & bit) == 0;
+        words_[word] |= bit;
+    }
 
-    Status status = Status::Finished;
-    std::string abortReason;
-    /** Structured metadata from the aborting tool (all-zero unless the
-     *  abort came through the metadata-carrying requestAbort). */
-    AbortMetadata abortMeta;
+    void
+    erase(ThreadId tid)
+    {
+        const std::size_t word = tid >> 6;
+        if (word >= words_.size())
+            return;
+        const std::uint64_t bit = std::uint64_t{1} << (tid & 63);
+        count_ -= (words_[word] & bit) != 0;
+        words_[word] &= ~bit;
+    }
 
-    /** (instruction, value) pairs emitted by Output, in order. */
-    std::vector<std::pair<InstrId, std::int64_t>> outputs;
+    bool
+    contains(ThreadId tid) const
+    {
+        const std::size_t word = tid >> 6;
+        return word < words_.size() && (words_[word] >> (tid & 63)) & 1;
+    }
 
-    /** Total guest instructions executed. */
-    std::uint64_t steps = 0;
-    /** All events that occurred, by class, instrumented or not. */
-    EventCounts totalEvents;
-    /** Events actually delivered, per attached tool. */
-    std::vector<EventCounts> delivered;
-    /** Number of threads ever created (main included). */
-    std::uint32_t numThreads = 0;
+    std::size_t size() const { return count_; }
 
-    /** Scheduler trace (only when ExecConfig::recordSchedule). */
-    std::vector<ScheduleStep> schedule;
+    /** The @p k-th member in ascending id order; @p k < size(). */
+    ThreadId
+    nth(std::size_t k) const
+    {
+        for (std::size_t word = 0;; ++word) {
+            std::uint64_t bits = words_[word];
+            const auto pop = static_cast<std::size_t>(std::popcount(bits));
+            if (k >= pop) {
+                k -= pop;
+                continue;
+            }
+            for (; k > 0; --k)
+                bits &= bits - 1;
+            return static_cast<ThreadId>(word * 64 +
+                                         std::countr_zero(bits));
+        }
+    }
 
-    bool finished() const { return status == Status::Finished; }
+    /** Call @p fn on every member in ascending order.  @p fn may erase
+     *  the member it is given. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn)
+    {
+        for (std::size_t word = 0; word < words_.size(); ++word) {
+            for (std::uint64_t bits = words_[word]; bits;
+                 bits &= bits - 1) {
+                fn(static_cast<ThreadId>(word * 64 +
+                                         std::countr_zero(bits)));
+            }
+        }
+    }
+
+  private:
+    std::vector<std::uint64_t> words_;
+    std::size_t count_ = 0;
 };
 
 class TraceRecorder;
 
-/** Deterministic IR interpreter with instrumentation attachments. */
-class Interpreter : public ExecutionControl
+/**
+ * Deterministic IR interpreter with instrumentation attachments.
+ * Tools attach in configuration groups through the DispatchCore
+ * surface (attach, addGroup, control), exactly as on a TraceReplayer:
+ * a group whose tool aborts stops at the next instruction boundary
+ * while the others run on.  The execution stops once every group has
+ * stopped — unless a TraceRecorder is attached, in which case it
+ * always runs to its end so the capture is complete.
+ */
+class Interpreter : public DispatchCore
 {
   public:
     Interpreter(const ir::Module &module, ExecConfig config);
-
-    /**
-     * Attach a tool filtered by @p plan.  Both must outlive run().
-     * Tools are notified in attachment order.
-     */
-    void attach(Tool *tool, const InstrumentationPlan *plan);
 
     /** Attach a trace-capture sink (trace.h).  Unlike a Tool, the
      *  recorder sees every event unconditionally — before plan
@@ -118,13 +152,15 @@ class Interpreter : public ExecutionControl
      *  run(). */
     void setRecorder(TraceRecorder *recorder) { recorder_ = recorder; }
 
-    /** Execute the program to completion (or abort). */
-    RunResult run();
+    /** Execute the program once; one RunResult per group, in group
+     *  order, each equal to a solo run of that group's attachments.
+     *  @p execution, when given, receives the outcome of the execution
+     *  itself: that of the same run with no tool attached (what a
+     *  recording keeps). */
+    std::vector<RunResult> runGroups(RunResult *execution = nullptr);
 
-    /** Stop the execution from inside a tool callback. */
-    void requestAbort(std::string reason) override;
-    void requestAbort(std::string reason,
-                      const AbortMetadata &meta) override;
+    /** Execute the program to completion (or abort); one group. */
+    RunResult run();
 
     const ir::Module &module() const { return module_; }
 
@@ -167,12 +203,6 @@ class Interpreter : public ExecutionControl
         std::vector<Value> cells;
     };
 
-    struct Attachment
-    {
-        Tool *tool;
-        const InstrumentationPlan *plan;
-    };
-
     /** Execute up to @p quantum instructions of thread @p pick,
      *  stopping early when it blocks, finishes, aborts, or hits the
      *  step limit.  The whole scheduling slice runs in one call so the
@@ -188,15 +218,18 @@ class Interpreter : public ExecutionControl
                          const std::vector<Value> &args, InstrId spawnSite,
                          ThreadId parent);
 
-    /** Merge the attachments' plans into the per-site dispatch words
-     *  (bit i = attachment i) and precompute per-instruction event
-     *  classes.  Called once when run() starts; afterwards the
-     *  per-event dispatch is one 16-bit load. */
-    void buildDispatchTables();
-
-    void fireEvent(const EventCtx &ctx, std::uint8_t mask,
-                   EventClass cls);
     void fireBlockEnter(ThreadId tid, BlockId block);
+
+    /** Block the running thread @p thread on a lock or a join: it
+     *  leaves the runnable set for @p waiters until woken. */
+    void blockOn(ThreadCtx &thread, ThreadState state, ThreadSet &waiters);
+    /** Wake every thread of @p waiters for which @p blockedOn holds. */
+    template <typename Pred>
+    void wake(ThreadSet &waiters, Pred blockedOn);
+
+    /** Freeze the groups whose abort is pending at this instruction
+     *  boundary. */
+    void freezeAtBoundary();
 
     Value &reg(Frame &frame, ir::Reg r);
     const Value &regRead(Frame &frame, ir::Reg r);
@@ -208,16 +241,14 @@ class Interpreter : public ExecutionControl
     ExecConfig config_;
     Rng rng_;
 
-    std::vector<Attachment> attachments_;
     TraceRecorder *recorder_ = nullptr;
-    /** Per-instruction dispatch word: low byte is the OR of attachment
-     *  cover bits (bit i set iff attachment i's plan covers the site;
-     *  0 = no tool listens and the event path is skipped wholesale),
-     *  high byte the precomputed EventClass.  One load serves both the
-     *  coverage test and the event-class accounting. */
-    std::vector<std::uint16_t> dispatch_;
-    std::vector<std::uint8_t> blockMask_;
     std::vector<ThreadCtx> threads_;
+    /** Scheduler state, kept incrementally: runnable threads, threads
+     *  blocked on a lock or a join, and threads not yet finished. */
+    ThreadSet runnable_;
+    ThreadSet lockWaiters_;
+    ThreadSet joinWaiters_;
+    std::uint32_t liveThreads_ = 0;
     std::vector<HeapObject> heap_;
     /** obj -> owning thread + 1, or 0 when free. */
     std::vector<std::uint32_t> lockOwner_;
@@ -227,14 +258,7 @@ class Interpreter : public ExecutionControl
     std::size_t scheduleCursor_ = 0;
     std::vector<ScheduleStep> schedule_;
     EventCounts totalEvents_;
-    std::vector<EventCounts> delivered_;
     std::vector<std::pair<InstrId, std::int64_t>> outputs_;
-
-    bool abortRequested_ = false;
-    std::string abortReason_;
-    AbortMetadata abortMeta_;
-    bool guestFault_ = false;
-    std::string faultReason_;
 };
 
 } // namespace oha::exec

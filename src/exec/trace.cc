@@ -698,13 +698,33 @@ RecordedTrace
 recordRun(const ir::Module &module, const ExecConfig &config,
           const TraceStoreOptions &options)
 {
+    std::vector<RunResult> groups;
+    return recordRun(module, config, options, {}, groups);
+}
+
+RecordedTrace
+recordRun(const ir::Module &module, const ExecConfig &config,
+          const TraceStoreOptions &options, const GroupSetup &setup,
+          std::vector<RunResult> &groupsOut)
+{
     RecordedTrace trace;
     TraceRecorder recorder(options);
     Interpreter interp(module, config);
     interp.setRecorder(&recorder);
-    trace.result = interp.run();
+    if (setup)
+        setup(interp);
+    groupsOut = interp.runGroups(&trace.result);
     trace.events = recorder.take();
     return trace;
+}
+
+std::vector<RunResult>
+replayRun(const ir::Module &module, const RecordedTrace &trace,
+          const GroupSetup &setup)
+{
+    TraceReplayer replayer(module, trace);
+    setup(replayer);
+    return replayer.runGroups();
 }
 
 // ------------------------------------------------------------------ replay
@@ -713,70 +733,12 @@ TraceReplayer::TraceReplayer(const ir::Module &module,
                              const RecordedTrace &trace)
     : module_(module), trace_(trace)
 {
-    groups_.push_back(std::make_unique<Group>(abortPending_));
-}
-
-TraceReplayer::~TraceReplayer() = default;
-
-void
-TraceReplayer::attach(Tool *tool, const InstrumentationPlan *plan)
-{
-    OHA_ASSERT(tool && plan);
-    attachments_.push_back({tool, plan, groups_.size() - 1});
-}
-
-std::size_t
-TraceReplayer::addGroup()
-{
-    groups_.push_back(std::make_unique<Group>(abortPending_));
-    return groups_.size() - 1;
-}
-
-ExecutionControl &
-TraceReplayer::control(std::size_t group)
-{
-    OHA_ASSERT(group < groups_.size());
-    if (group == 0)
-        return *this;
-    return *groups_[group];
-}
-
-void
-TraceReplayer::requestAbort(std::string reason)
-{
-    groups_[0]->requestAbort(std::move(reason));
-}
-
-void
-TraceReplayer::requestAbort(std::string reason, const AbortMetadata &meta)
-{
-    groups_[0]->requestAbort(std::move(reason), meta);
-}
-
-void
-TraceReplayer::Group::requestAbort(std::string abortReason)
-{
-    if (!requested) {
-        requested = true;
-        reason = std::move(abortReason);
-        anyPending_ = true;
-    }
-}
-
-void
-TraceReplayer::Group::requestAbort(std::string abortReason,
-                                   const AbortMetadata &abortMeta)
-{
-    if (!requested) {
-        meta = abortMeta;
-        requestAbort(std::move(abortReason));
-    }
 }
 
 RunResult
 TraceReplayer::run()
 {
-    OHA_ASSERT(groups_.size() == 1, "run() replays one group");
+    OHA_ASSERT(numGroups() == 1, "run() replays one group");
     return std::move(runGroups().front());
 }
 
@@ -784,38 +746,10 @@ std::vector<RunResult>
 TraceReplayer::runGroups()
 {
     g_replayPasses.fetch_add(1, std::memory_order_relaxed);
-    const std::size_t numGroups = groups_.size();
-    std::vector<RunResult> results(numGroups);
 
-    // Same per-site dispatch snapshot as Interpreter::run(): low byte
-    // = attachment cover bits, high byte = event class.
-    const std::size_t numInstrs = module_.numInstrs();
-    const std::size_t numBlocks = module_.numBlocks();
-    OHA_ASSERT(attachments_.size() <= kMaxAttachments,
-               "dispatch masks hold at most 8 attachments");
-    std::vector<std::uint16_t> dispatch(numInstrs);
-    for (InstrId id = 0; id < numInstrs; ++id) {
-        dispatch[id] = static_cast<std::uint16_t>(
-            static_cast<std::uint16_t>(eventClassOf(module_.instr(id).op))
-            << 8);
-    }
-    std::vector<std::uint8_t> blockMask(numBlocks, 0);
-    // groupBits[g]: the dispatch bits of group g's attachments.
-    std::vector<std::uint8_t> groupBits(numGroups, 0);
-    for (std::size_t i = 0; i < attachments_.size(); ++i) {
-        const InstrumentationPlan &plan = *attachments_[i].plan;
-        const auto bit = static_cast<std::uint8_t>(1u << i);
-        groupBits[attachments_[i].group] |= bit;
-        for (InstrId id = 0; id < numInstrs; ++id)
-            if (plan.coversInstr(id))
-                dispatch[id] |= bit;
-        for (BlockId id = 0; id < numBlocks; ++id)
-            if (plan.coversBlock(id))
-                blockMask[id] |= bit;
-    }
-    // Attachments of groups still running.  A stopped group's bits are
-    // cleared, so every dispatch below skips its tools.
-    auto active = static_cast<std::uint8_t>((1u << attachments_.size()) - 1);
+    // Same per-site dispatch snapshot as the interpreter: low byte =
+    // attachment cover bits, high byte = event class.
+    beginPass(module_);
 
     // Shadow call stacks: the interpreter assigns frame ids globally
     // sequentially from 1 (main's root first), and the record stream
@@ -831,32 +765,21 @@ TraceReplayer::runGroups()
 
     // Stream-wide accounting; a group that stops takes a snapshot.
     EventCounts totalEvents;
-    std::vector<EventCounts> delivered(attachments_.size());
     std::vector<std::pair<InstrId, std::int64_t>> outputs;
     std::uint64_t stepsStarted = 0;
     std::uint32_t numThreads = 0;
-    std::vector<bool> stopped(numGroups, false);
-    std::vector<std::size_t> outputsAtStop(numGroups, 0);
-    std::size_t running = numGroups;
 
     // Freeze every group whose abort is pending: a live run honours
     // an abort at the next instruction boundary (the aborting
     // instruction completes all its deliveries), which is where this
     // is called — so the frozen result is the solo aborted replay's.
-    auto stopAbortedGroups = [&] {
-        abortPending_ = false;
-        for (std::size_t g = 0; g < numGroups; ++g) {
-            if (stopped[g] || !groups_[g]->requested)
-                continue;
-            stopped[g] = true;
-            --running;
-            active &= static_cast<std::uint8_t>(~groupBits[g]);
-            RunResult &result = results[g];
-            result.steps = stepsStarted;
-            result.totalEvents = totalEvents;
-            result.numThreads = numThreads;
-            outputsAtStop[g] = outputs.size();
-        }
+    auto freezeAtBoundary = [&] {
+        Progress at;
+        at.steps = stepsStarted;
+        at.totalEvents = totalEvents;
+        at.numThreads = numThreads;
+        at.outputs = outputs.size();
+        freezeAbortedGroups(at);
     };
 
     const TraceStore &store = trace_.events;
@@ -865,8 +788,8 @@ TraceReplayer::runGroups()
     // a spilled segment is mapped only while its cursor lives, so
     // peak resident trace bytes track the segment size, not the
     // trace size.
-    for (std::size_t seg = 0; seg < store.numSegments() && running > 0;
-         ++seg) {
+    for (std::size_t seg = 0;
+         seg < store.numSegments() && runningGroups() > 0; ++seg) {
         const bool hasValues =
             store.header(seg).flags & SegmentHeader::kFlagHasValues;
         SegmentCursor reader = store.cursor(seg);
@@ -880,9 +803,9 @@ TraceReplayer::runGroups()
             // Step flag: this record begins a new guest instruction,
             // the boundary at which pending aborts take effect.
             if (header & 4) {
-                if (abortPending_) {
-                    stopAbortedGroups();
-                    if (running == 0)
+                if (abortPending()) {
+                    freezeAtBoundary();
+                    if (runningGroups() == 0)
                         break;
                 }
                 ++stepsStarted;
@@ -896,9 +819,9 @@ TraceReplayer::runGroups()
                 prevInstr += reader.zigzag();
                 const auto id = static_cast<InstrId>(prevInstr);
                 const ir::Instruction &ins = module_.instr(id);
-                const std::uint16_t disp = dispatch[id];
+                const std::uint16_t disp = dispatch_[id];
                 const auto evMask =
-                    static_cast<std::uint8_t>(disp & active);
+                    static_cast<std::uint8_t>(disp & active_);
                 const auto cls = static_cast<EventClass>(disp >> 8);
                 ++totalEvents[cls];
 
@@ -973,13 +896,7 @@ TraceReplayer::runGroups()
                       default:
                         break;
                     }
-                    for (std::uint8_t mask = evMask; mask;
-                         mask &= static_cast<std::uint8_t>(mask - 1)) {
-                        const unsigned i =
-                            static_cast<unsigned>(std::countr_zero(mask));
-                        ++delivered[i][cls];
-                        attachments_[i].tool->onEvent(ctx);
-                    }
+                    deliverEvent(ctx, evMask, cls);
                 }
 
                 // Stack mutations happen after delivery, mirroring
@@ -997,14 +914,7 @@ TraceReplayer::runGroups()
                 prevBlock += reader.zigzag();
                 const auto block = static_cast<BlockId>(prevBlock);
                 ++totalEvents[EventClass::BlockEnter];
-                for (auto mask =
-                         static_cast<std::uint8_t>(blockMask[block] & active);
-                     mask; mask &= static_cast<std::uint8_t>(mask - 1)) {
-                    const unsigned i =
-                        static_cast<unsigned>(std::countr_zero(mask));
-                    ++delivered[i][EventClass::BlockEnter];
-                    attachments_[i].tool->onBlockEnter(tid, block);
-                }
+                deliverBlockEnter(tid, block);
                 break;
               }
               case TraceRecorder::kThreadStart: {
@@ -1018,21 +928,12 @@ TraceReplayer::runGroups()
                     stacks.resize(tid + 1);
                 stacks[tid].push_back({nextFrameId++, nullptr});
                 ++numThreads;
-                for (std::uint8_t mask = active; mask;
-                     mask &= static_cast<std::uint8_t>(mask - 1)) {
-                    attachments_[std::countr_zero(mask)]
-                        .tool->onThreadStart(tid, parent, spawnSite);
-                }
+                deliverThreadStart(tid, parent, spawnSite);
                 break;
               }
-              case TraceRecorder::kThreadFinish: {
-                for (std::uint8_t mask = active; mask;
-                     mask &= static_cast<std::uint8_t>(mask - 1)) {
-                    attachments_[std::countr_zero(mask)]
-                        .tool->onThreadFinish(tid);
-                }
+              case TraceRecorder::kThreadFinish:
+                deliverThreadFinish(tid);
                 break;
-              }
             }
         }
     }
@@ -1040,37 +941,23 @@ TraceReplayer::runGroups()
     // An abort requested after the last step flag still ends its
     // group as Aborted, with every step counted — as a live run that
     // aborts during its final instruction does.
-    if (abortPending_)
-        stopAbortedGroups();
+    if (abortPending())
+        freezeAtBoundary();
 
-    for (std::size_t g = 0; g < numGroups; ++g) {
-        RunResult &result = results[g];
-        const Group &group = *groups_[g];
-        if (stopped[g]) {
-            result.status = RunResult::Status::Aborted;
-            result.abortReason = group.reason;
-            result.abortMeta = group.meta;
-            result.outputs.assign(outputs.begin(),
-                                  outputs.begin() +
-                                      static_cast<std::ptrdiff_t>(
-                                          outputsAtStop[g]));
-        } else {
-            result.status = trace_.result.status;
-            result.abortReason = trace_.result.abortReason;
-            result.abortMeta = trace_.result.abortMeta;
-            result.steps = trace_.result.steps;
-            result.schedule = trace_.result.schedule;
-            result.totalEvents = totalEvents;
-            result.numThreads = numThreads;
-            result.outputs = outputs;
-            OHA_ASSERT(stepsStarted == trace_.result.steps,
-                       "trace step flags diverge from recorded step count");
-        }
-        for (std::size_t i = 0; i < attachments_.size(); ++i)
-            if (attachments_[i].group == g)
-                result.delivered.push_back(delivered[i]);
-    }
-    return results;
+    // Groups still running saw the whole stream: they report the
+    // recorded run's outcome.
+    OHA_ASSERT(runningGroups() == 0 || stepsStarted == trace_.result.steps,
+               "trace step flags diverge from recorded step count");
+    RunResult execution;
+    execution.status = trace_.result.status;
+    execution.abortReason = trace_.result.abortReason;
+    execution.abortMeta = trace_.result.abortMeta;
+    execution.steps = trace_.result.steps;
+    execution.schedule = trace_.result.schedule;
+    execution.totalEvents = totalEvents;
+    execution.numThreads = numThreads;
+    execution.outputs = std::move(outputs);
+    return groupResults(std::move(execution));
 }
 
 // ----------------------------------------------------------------- testing

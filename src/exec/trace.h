@@ -9,9 +9,13 @@
  * interpreter already *is* that environment — an execution is a pure
  * function of (module, input, schedule seed) and tools never perturb
  * it — so the pipeline executes an input once with a TraceRecorder
- * sink that captures the complete analysis-relevant event stream,
- * then drives its analysis configurations from a TraceReplayer that
- * performs only decode + plan filtering + tool dispatch.
+ * sink that captures the complete analysis-relevant event stream.
+ * The configurations it evaluates first run on that recording pass
+ * itself (recordRun with a GroupSetup); later ones (rollback rounds,
+ * cached captures) come from a TraceReplayer that performs only
+ * decode + plan filtering + tool dispatch.  Both sources share one
+ * DispatchCore (dispatch.h), so a group's RunResult is the same from
+ * either.
  *
  * One decode pass per capture: the configurations a pipeline
  * evaluates together on one input (OptFT's full, hybrid and
@@ -822,12 +826,38 @@ RecordedTrace recordRun(const ir::Module &module, const ExecConfig &config);
 RecordedTrace recordRun(const ir::Module &module, const ExecConfig &config,
                         const TraceStoreOptions &options);
 
+/** Attaches analysis groups to an event source (attach, addGroup,
+ *  control).  Called once, on the live interpreter of a recording
+ *  pass or on a replayer of the capture; the RunResults are the same
+ *  either way. */
+using GroupSetup = std::function<void(DispatchCore &)>;
+
+/**
+ * Analysis on the recording pass: execute @p config once, capturing
+ * its trace, with the groups @p setup attaches running live next to
+ * the recorder.  @p groupsOut receives one RunResult per group, each
+ * equal to a replay of the capture under that group.  A group's abort
+ * stops only that group; the recording always runs to the end, so the
+ * capture equals an uninstrumented recordRun's.
+ */
+RecordedTrace recordRun(const ir::Module &module, const ExecConfig &config,
+                        const TraceStoreOptions &options,
+                        const GroupSetup &setup,
+                        std::vector<RunResult> &groupsOut);
+
+/** Replay @p trace once under the groups @p setup attaches; one
+ *  RunResult per group. */
+std::vector<RunResult> replayRun(const ir::Module &module,
+                                 const RecordedTrace &trace,
+                                 const GroupSetup &setup);
+
 /**
  * Drives attached tools from a recorded trace without re-running
- * fetch/decode/eval.  The attach/run/requestAbort surface mirrors
- * Interpreter, and the resulting RunResult (status, steps, outputs,
- * event accounting, per-tool delivery counts) is byte-identical to a
- * live run of the same tools under the same plans on the same input.
+ * fetch/decode/eval.  The attach/addGroup/control surface is the
+ * Interpreter's (both are DispatchCores), and the resulting RunResult
+ * (status, steps, outputs, event accounting, per-tool delivery
+ * counts) is byte-identical to a live run of the same tools under the
+ * same plans on the same input.
  *
  * Aborts (the invariant checker on a violation) truncate the replay
  * at the same instruction boundary a live run would stop at: the
@@ -848,31 +878,10 @@ RecordedTrace recordRun(const ir::Module &module, const ExecConfig &config,
  * RunResult per group, each equal field by field to a solo replay of
  * that group's attachments; run() is the one-group case.
  */
-class TraceReplayer : public ExecutionControl
+class TraceReplayer : public DispatchCore
 {
   public:
     TraceReplayer(const ir::Module &module, const RecordedTrace &trace);
-    ~TraceReplayer() override;
-
-    TraceReplayer(const TraceReplayer &) = delete;
-    TraceReplayer &operator=(const TraceReplayer &) = delete;
-
-    /** Attachments per replayer, across all groups: the dispatch
-     *  masks are one byte. */
-    static constexpr std::size_t kMaxAttachments = 8;
-
-    /** Attach a tool filtered by @p plan to the newest group (same
-     *  contract as Interpreter::attach). */
-    void attach(Tool *tool, const InstrumentationPlan *plan);
-
-    /** Open a new configuration group; later attach() calls join it.
-     *  Returns the group's index. */
-    std::size_t addGroup();
-
-    /** Abort surface of group @p group.  A tool aborting through it
-     *  stops only that group.  Group 0's control is the replayer
-     *  itself. */
-    ExecutionControl &control(std::size_t group);
 
     /** Replay the recorded stream once through every group; one
      *  RunResult per group, in group order. */
@@ -882,44 +891,9 @@ class TraceReplayer : public ExecutionControl
      *  group). */
     RunResult run();
 
-    /** Abort group 0. */
-    void requestAbort(std::string reason) override;
-    void requestAbort(std::string reason,
-                      const AbortMetadata &meta) override;
-
   private:
-    struct Attachment
-    {
-        Tool *tool;
-        const InstrumentationPlan *plan;
-        std::size_t group;
-    };
-
-    /** One group's abort request; the first request wins. */
-    class Group final : public ExecutionControl
-    {
-      public:
-        explicit Group(bool &anyPending) : anyPending_(anyPending) {}
-        Group(const Group &) = delete;
-        Group &operator=(const Group &) = delete;
-
-        void requestAbort(std::string reason) override;
-        void requestAbort(std::string reason,
-                          const AbortMetadata &meta) override;
-
-        bool requested = false;
-        std::string reason;
-        AbortMetadata meta;
-
-      private:
-        bool &anyPending_; ///< replayer-wide "check at next step flag"
-    };
-
     const ir::Module &module_;
     const RecordedTrace &trace_;
-    std::vector<Attachment> attachments_;
-    std::vector<std::unique_ptr<Group>> groups_;
-    bool abortPending_ = false;
 };
 
 namespace testing {

@@ -106,71 +106,131 @@ byteSizeEstimate(const RecordedTrace &trace)
            result.schedule.capacity() * sizeof(ScheduleStep);
 }
 
-std::shared_ptr<const RecordedTrace>
-recordRunMemo(const std::shared_ptr<const ir::Module> &module,
-              const ExecConfig &config)
+namespace {
+
+/** A capture's key in the trace section, with both fingerprints. */
+struct Probe
+{
+    TraceKey key;
+    std::uint64_t moduleSecondary;
+    std::uint64_t configSecondary;
+    std::uint64_t generation = 0; ///< cache generation at lookup
+};
+
+Probe
+makeProbe(const std::shared_ptr<const ir::Module> &module,
+          const ExecConfig &config)
 {
     OHA_ASSERT(module && module->finalized());
-
-    TraceMap &map = section();
-    SharedCache &sc = SharedCache::instance();
-
     const Fingerprint moduleFp = service::fingerprintModule(module);
     const Fingerprint configFp = configFingerprint(config);
-    const TraceKey key{moduleFp.primary, configFp.primary};
+    return {{moduleFp.primary, configFp.primary},
+            moduleFp.secondary,
+            configFp.secondary};
+}
 
-    std::uint64_t gen = 0;
-    {
-        std::lock_guard<std::mutex> lock(sc.mutex());
-        gen = sc.generation();
-        auto it = map.find(key);
-        if (it != map.end()) {
-            if (it->second.moduleSecondary == moduleFp.secondary &&
-                it->second.configSecondary == configFp.secondary) {
-                sc.noteHit();
-                sc.lru().touch(it->second.handle);
-                return it->second.trace;
-            }
-            // 64-bit collision: evict the wrong-keyed entry, record
-            // fresh (counted, never silently served).
-            sc.noteVerifiedMiss();
-            sc.lru().remove(it->second.handle);
-            map.erase(it);
-        } else {
-            sc.noteMiss();
-        }
+/** The cached capture for @p probe, or null on a miss (counted). */
+std::shared_ptr<const RecordedTrace>
+lookup(Probe &probe)
+{
+    TraceMap &map = section();
+    SharedCache &sc = SharedCache::instance();
+    std::lock_guard<std::mutex> lock(sc.mutex());
+    probe.generation = sc.generation();
+    auto it = map.find(probe.key);
+    if (it == map.end()) {
+        sc.noteMiss(service::CacheSection::Trace);
+        return nullptr;
     }
+    if (it->second.moduleSecondary == probe.moduleSecondary &&
+        it->second.configSecondary == probe.configSecondary) {
+        sc.noteHit(service::CacheSection::Trace);
+        sc.lru().touch(it->second.handle);
+        return it->second.trace;
+    }
+    // 64-bit collision: evict the wrong-keyed entry, record fresh
+    // (counted, never silently served).
+    sc.noteVerifiedMiss(service::CacheSection::Trace);
+    sc.lru().remove(it->second.handle);
+    map.erase(it);
+    return nullptr;
+}
 
-    // The recording run happens outside the lock.
-    auto trace =
-        std::make_shared<const RecordedTrace>(recordRun(*module, config));
+/** Admit a fresh recording; first insert wins.  Returns the capture
+ *  the cache now serves for @p probe (or @p trace when the cache was
+ *  cleared since the lookup). */
+std::shared_ptr<const RecordedTrace>
+insert(const Probe &probe, const std::shared_ptr<const ir::Module> &module,
+       std::shared_ptr<const RecordedTrace> trace)
+{
+    TraceMap &map = section();
+    SharedCache &sc = SharedCache::instance();
     const std::size_t bytes = byteSizeEstimate(*trace);
 
     std::lock_guard<std::mutex> lock(sc.mutex());
-    if (gen != sc.generation()) {
+    if (probe.generation != sc.generation()) {
         sc.noteStaleDrop();
         return trace;
     }
-    auto it = map.find(key);
+    auto it = map.find(probe.key);
     if (it != map.end()) {
-        if (it->second.moduleSecondary == moduleFp.secondary &&
-            it->second.configSecondary == configFp.secondary)
+        if (it->second.moduleSecondary == probe.moduleSecondary &&
+            it->second.configSecondary == probe.configSecondary)
             return it->second.trace; // first insert wins
         sc.lru().remove(it->second.handle);
         map.erase(it);
     }
     Entry entry;
-    entry.moduleSecondary = moduleFp.secondary;
-    entry.configSecondary = configFp.secondary;
+    entry.moduleSecondary = probe.moduleSecondary;
+    entry.configSecondary = probe.configSecondary;
     entry.module = module;
     entry.trace = std::move(trace);
-    auto [pos, inserted] = map.emplace(key, std::move(entry));
+    auto [pos, inserted] = map.emplace(probe.key, std::move(entry));
     OHA_ASSERT(inserted);
+    const TraceKey key = probe.key;
     pos->second.handle =
         sc.lru().insert(bytes, [&map, key] { map.erase(key); });
     std::shared_ptr<const RecordedTrace> shared = pos->second.trace;
     sc.enforceBudget();
     return shared;
+}
+
+} // namespace
+
+std::shared_ptr<const RecordedTrace>
+recordRunMemo(const std::shared_ptr<const ir::Module> &module,
+              const ExecConfig &config)
+{
+    Probe probe = makeProbe(module, config);
+    if (auto cached = lookup(probe))
+        return cached;
+    // The recording run happens outside the lock.
+    return insert(probe, module,
+                  std::make_shared<const RecordedTrace>(
+                      recordRun(*module, config)));
+}
+
+AnalyzedCapture
+captureAndAnalyze(const std::shared_ptr<const ir::Module> &module,
+                  const ExecConfig &config, const GroupSetup &setup,
+                  bool memoize)
+{
+    AnalyzedCapture out;
+    Probe probe;
+    if (memoize) {
+        probe = makeProbe(module, config);
+        out.trace = lookup(probe);
+        if (out.trace) {
+            out.groups = replayRun(*module, *out.trace, setup);
+            return out;
+        }
+    }
+    // Cold: one live pass records the capture and runs the groups.
+    out.trace = std::make_shared<const RecordedTrace>(
+        recordRun(*module, config, TraceStoreOptions{}, setup, out.groups));
+    if (memoize)
+        out.trace = insert(probe, module, std::move(out.trace));
+    return out;
 }
 
 std::vector<TraceSectionEntry>

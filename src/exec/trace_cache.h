@@ -49,6 +49,27 @@ std::shared_ptr<const RecordedTrace>
 recordRunMemo(const std::shared_ptr<const ir::Module> &module,
               const ExecConfig &config);
 
+/** One input's capture and the analysis groups evaluated on it. */
+struct AnalyzedCapture
+{
+    std::shared_ptr<const RecordedTrace> trace;
+    /** One RunResult per group @p setup attached, in group order. */
+    std::vector<RunResult> groups;
+};
+
+/**
+ * Capture @p config and evaluate the groups @p setup attaches on it,
+ * in one pass either way.  A capture the shared cache already holds
+ * is replayed under the groups; a cold one is recorded live with the
+ * groups attached (analysis on the recording pass) and then admitted
+ * like recordRunMemo's.  The group results are the same in both
+ * cases.  With @p memoize false the cache is bypassed and the input
+ * always runs live.
+ */
+AnalyzedCapture captureAndAnalyze(
+    const std::shared_ptr<const ir::Module> &module,
+    const ExecConfig &config, const GroupSetup &setup, bool memoize);
+
 /**
  * Snapshot-portable view of one cached capture: both fingerprints of
  * each key component plus the (immutable, plain-data) trace.  Used by

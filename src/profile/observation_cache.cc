@@ -136,17 +136,17 @@ observeRunMemo(const std::shared_ptr<const ir::Module> &module,
             if (it->second.moduleSecondary == moduleFp.secondary &&
                 it->second.observationSecondary ==
                     observationFp.secondary) {
-                sc.noteHit();
+                sc.noteHit(service::CacheSection::Observation);
                 sc.lru().touch(it->second.handle);
                 return it->second.observations;
             }
             // 64-bit collision: evict the wrong-keyed entry, observe
             // fresh (counted, never silently served).
-            sc.noteVerifiedMiss();
+            sc.noteVerifiedMiss(service::CacheSection::Observation);
             sc.lru().remove(it->second.handle);
             map.erase(it);
         } else {
-            sc.noteMiss();
+            sc.noteMiss(service::CacheSection::Observation);
         }
     }
 

@@ -17,7 +17,8 @@
  *  - the generation stamp that invalidates in-flight computations
  *    across reset() (a solve started before a reset must not insert
  *    its pre-reset result afterwards);
- *  - hit/miss/eviction accounting.
+ *  - hit/miss/eviction accounting, with hits and misses also split
+ *    by section.
  *
  * Fingerprints are value identity: two independent 64-bit hashes of
  * the canonical text.  The primary hash is the map key; the secondary
@@ -74,9 +75,28 @@ Fingerprint fingerprintText(const std::string &text);
 Fingerprint
 fingerprintModule(const std::shared_ptr<const ir::Module> &module);
 
+/** The cache's sections, for per-section hit/miss accounting. */
+enum class CacheSection : std::uint8_t
+{
+    StaticResult, ///< Andersen, static-race and slice-set results
+    Trace,        ///< recorded trace captures
+    Observation,  ///< profiling-run observations
+};
+
+constexpr std::size_t kNumCacheSections = 3;
+
+/** Hit/miss counters of one section. */
+struct SectionStats
+{
+    std::uint64_t hits = 0;
+    /** Includes verified misses. */
+    std::uint64_t misses = 0;
+};
+
 /** Counters since process start / last reset(). */
 struct SharedCacheStats
 {
+    /** Totals over every section. */
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     /** Primary-fingerprint hits whose stored secondary fingerprint
@@ -90,6 +110,14 @@ struct SharedCacheStats
     std::size_t bytesCached = 0;
     std::size_t byteBudget = 0;
     std::uint64_t generation = 0;
+    /** The same hits and misses, split by section. */
+    SectionStats sections[kNumCacheSections];
+
+    const SectionStats &
+    section(CacheSection which) const
+    {
+        return sections[static_cast<std::size_t>(which)];
+    }
 };
 
 /** The process-wide cache spine.  All methods are thread-safe unless
@@ -106,14 +134,24 @@ class SharedCache
     /** Recency list + byte accounting.  Mutex held. */
     LruList &lru() { return lru_; }
 
-    // Stat bumps.  Mutex held.
-    void noteHit() { ++stats_.hits; }
-    void noteMiss() { ++stats_.misses; }
+    // Stat bumps, per section and in the totals.  Mutex held.
     void
-    noteVerifiedMiss()
+    noteHit(CacheSection section)
+    {
+        ++stats_.hits;
+        ++stats_.sections[static_cast<std::size_t>(section)].hits;
+    }
+    void
+    noteMiss(CacheSection section)
+    {
+        ++stats_.misses;
+        ++stats_.sections[static_cast<std::size_t>(section)].misses;
+    }
+    void
+    noteVerifiedMiss(CacheSection section)
     {
         ++stats_.verifiedMisses;
-        ++stats_.misses;
+        noteMiss(section);
     }
     void noteStaleDrop() { ++stats_.staleDrops; }
 

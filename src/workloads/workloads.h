@@ -104,4 +104,19 @@ std::shared_ptr<ir::Module>
 makeDispatchSurfaceModule(std::size_t readers, std::size_t registrars,
                           std::size_t objectsPerRegistrar);
 
+/**
+ * A key-value store shaped like the end-to-end benchmark's long-trace
+ * workload, scaled down: 32 workers (33 threads with main) each run
+ * @p opsPerThread operations that draw a key from the input, update a
+ * 1024-key table under one of 16 striped locks, and bump a separately
+ * locked counter on key 0.  Lock blocking ends most scheduling quanta
+ * early, so this is the regime where the scheduler's own cost shows.
+ */
+std::shared_ptr<ir::Module> makeStripedStoreModule(int opsPerThread);
+
+/** An input for makeStripedStoreModule: 512 skewed key draws (small
+ *  keys dominate, so the hot stripes contend), scheduled with
+ *  @p seed. */
+exec::ExecConfig stripedStoreInput(std::uint64_t seed);
+
 } // namespace oha::workloads

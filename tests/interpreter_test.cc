@@ -13,6 +13,9 @@
 #include "exec/interpreter.h"
 #include "exec/trace.h"
 #include "ir/builder.h"
+#include "support/rng.h"
+#include "workloads/builder_util.h"
+#include "workloads/workloads.h"
 
 namespace oha::exec {
 namespace {
@@ -268,6 +271,189 @@ buildCounterProgram(Module &module, int threads, int iters)
         b.output(b.load(b.globalAddr(shared)));
         b.ret();
         (void)main;
+    }
+}
+
+/** Build: main spawns 8 parents; each parent spawns 9 leaves and
+ *  joins them.  Every thread updates a table under one of 4 striped
+ *  locks, so 81 threads (ids past 64) block on locks and on joins at
+ *  once. */
+void
+buildJoinTreeProgram(Module &module)
+{
+    using workloads::emitCountedLoop;
+    IRBuilder b(module);
+    const auto table = module.addGlobal("table", 64);
+    const auto stripes = module.addGlobal("stripes", 4);
+
+    // Locked read-modify-write of table[key] under stripe key & 3.
+    auto update = [&](Reg key, Reg delta) {
+        const Reg lockPtr = b.gepDyn(b.globalAddr(stripes),
+                                     b.band(key, b.constInt(3)));
+        b.lock(lockPtr);
+        const Reg cell = b.gepDyn(b.globalAddr(table), key);
+        b.store(cell, b.add(b.load(cell), delta));
+        b.unlock(lockPtr);
+    };
+
+    Function *leaf = b.createFunction("leaf", 1);
+    {
+        const Reg id = 0;
+        const Reg acc = b.assign(id);
+        emitCountedLoop(b, b.constInt(12), [&](Reg i) {
+            const Reg key = b.band(
+                b.add(b.mul(id, b.constInt(7)), b.mul(i, b.constInt(13))),
+                b.constInt(63));
+            update(key, b.add(acc, b.input(0)));
+            b.binopTo(acc, BinOpKind::Add, acc, key);
+        });
+        b.ret(acc);
+    }
+
+    Function *parent = b.createFunction("parent", 1);
+    {
+        const Reg p = 0;
+        const Reg sum = b.constInt(0);
+        std::vector<Reg> handles;
+        for (int c = 0; c < 9; ++c) {
+            handles.push_back(b.spawn(
+                leaf, {b.add(b.mul(p, b.constInt(9)), b.constInt(c))}));
+        }
+        update(p, b.constInt(1));
+        for (const Reg h : handles)
+            b.binopTo(sum, BinOpKind::Add, sum, b.join(h));
+        b.ret(sum);
+    }
+
+    b.createFunction("main", 0);
+    {
+        const Reg total = b.constInt(0);
+        std::vector<Reg> handles;
+        for (int p = 0; p < 8; ++p)
+            handles.push_back(b.spawn(parent, {b.constInt(p)}));
+        for (const Reg h : handles)
+            b.binopTo(total, BinOpKind::Add, total, b.join(h));
+        b.output(total);
+        for (int k = 0; k < 4; ++k)
+            b.output(b.load(b.gep(b.globalAddr(table), k)));
+        b.ret();
+    }
+}
+
+/** FNV-1a digest of everything the scheduler decides or causes. */
+std::uint64_t
+scheduleDigest(const RunResult &result)
+{
+    std::uint64_t hash = 1469598103934665603ull;
+    auto mix = [&](std::uint64_t word) {
+        for (int i = 0; i < 8; ++i) {
+            hash ^= (word >> (8 * i)) & 0xff;
+            hash *= 1099511628211ull;
+        }
+    };
+    mix(result.schedule.size());
+    for (const ScheduleStep &step : result.schedule) {
+        mix(step.thread);
+        mix(step.quantum);
+    }
+    mix(result.steps);
+    mix(static_cast<std::uint64_t>(result.status));
+    mix(result.numThreads);
+    for (const auto &[instr, value] : result.outputs) {
+        mix(instr);
+        mix(static_cast<std::uint64_t>(value));
+    }
+    return hash;
+}
+
+/** The scheduler's picks are pinned: these digests were computed with
+ *  the original scan-every-thread scheduler, and an incremental
+ *  runnable set must reproduce every decision. */
+TEST(Interpreter, GoldenScheduleOfJoinTreeProgram)
+{
+    Module module;
+    buildJoinTreeProgram(module);
+    module.finalize();
+
+    const std::pair<std::uint64_t, std::uint64_t> golden[] = {
+        {1, 0xa32461f94216b679ull},
+        {7, 0x35aa102e7278f070ull},
+        {424242, 0x6c9a9ea9ea3c977full}};
+    for (const auto &[seed, digest] : golden) {
+        ExecConfig cfg;
+        cfg.input = {static_cast<std::int64_t>(seed % 5)};
+        cfg.scheduleSeed = seed;
+        cfg.recordSchedule = true;
+        const RunResult result = runPlain(module, cfg);
+        ASSERT_TRUE(result.finished());
+        EXPECT_EQ(result.numThreads, 81u);
+        EXPECT_EQ(scheduleDigest(result), digest)
+            << "seed " << seed << " digest 0x" << std::hex
+            << scheduleDigest(result) << std::dec << " steps "
+            << result.steps << " quanta " << result.schedule.size();
+    }
+}
+
+TEST(Interpreter, GoldenScheduleOfStripedStoreProgram)
+{
+    const auto module = workloads::makeStripedStoreModule(48);
+
+    const std::pair<std::uint64_t, std::uint64_t> golden[] = {
+        {3, 0x721d0bd70900ab3cull},
+        {11, 0x54998ebd0927b8d7ull},
+        {98765, 0x55fd093cb9c7c1eeull}};
+    for (const auto &[seed, digest] : golden) {
+        ExecConfig cfg = workloads::stripedStoreInput(seed);
+        cfg.recordSchedule = true;
+        const RunResult result = runPlain(*module, cfg);
+        ASSERT_TRUE(result.finished());
+        EXPECT_EQ(result.numThreads, 33u);
+        EXPECT_EQ(scheduleDigest(result), digest)
+            << "seed " << seed << " digest 0x" << std::hex
+            << scheduleDigest(result) << std::dec << " steps "
+            << result.steps << " quanta " << result.schedule.size();
+    }
+}
+
+TEST(Interpreter, NthRunnableEqualsAscendingScanPick)
+{
+    // The scheduler picks the k-th set bit of the runnable set; the
+    // original scheduler picked runnable[k] of an ascending scan over
+    // every thread.  They must agree for any mask, across word
+    // boundaries.
+    Rng rng(2024);
+    for (int trial = 0; trial < 2000; ++trial) {
+        const auto threads = static_cast<ThreadId>(1 + rng.below(200));
+        const double density = 0.05 + 0.9 * double(rng.below(100)) / 100;
+        ThreadSet set;
+        std::vector<ThreadId> scan;
+        for (ThreadId tid = 0; tid < threads; ++tid) {
+            if (rng.chance(density)) {
+                set.insert(tid);
+                scan.push_back(tid);
+            }
+        }
+        // Churn: erase and re-insert some members, as blocking and
+        // waking do.
+        for (const ThreadId tid : scan) {
+            if (rng.chance(0.3)) {
+                set.erase(tid);
+                EXPECT_FALSE(set.contains(tid));
+                set.insert(tid);
+            }
+        }
+        ASSERT_EQ(set.size(), scan.size());
+        for (std::size_t k = 0; k < scan.size(); ++k)
+            ASSERT_EQ(set.nth(k), scan[k]) << "trial " << trial;
+        if (!scan.empty()) {
+            Rng a(static_cast<std::uint64_t>(trial));
+            Rng b(static_cast<std::uint64_t>(trial));
+            EXPECT_EQ(set.nth(a.below(set.size())),
+                      scan[b.below(scan.size())]);
+        }
+        std::vector<ThreadId> visited;
+        set.forEach([&](ThreadId tid) { visited.push_back(tid); });
+        EXPECT_EQ(visited, scan);
     }
 }
 

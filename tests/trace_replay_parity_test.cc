@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
 #include <string>
 #include <utility>
@@ -40,6 +41,7 @@
 #include "ir/builder.h"
 #include "profile/profiler.h"
 #include "program_gen.h"
+#include "service/shared_cache.h"
 #include "workloads/workloads.h"
 
 namespace oha {
@@ -283,7 +285,7 @@ TEST(TraceReplayParity, AbortedReplayStopsAtTheLiveBoundary)
     expectEqual(live, replayed, "aborted LUC run");
 }
 
-TEST(TraceReplayEdge, TruncatedRecordingReplaysTheRecordedOutcome)
+TEST(TraceReplayEdge, AbortDuringRecordingKeepsTheCaptureComplete)
 {
     using namespace ir;
     Module module;
@@ -306,36 +308,52 @@ TEST(TraceReplayEdge, TruncatedRecordingReplaysTheRecordedOutcome)
     violating.input = {1};
     const auto invariants = profiled(module, {trained});
 
-    // Record *with* a checker attached, so the recording itself is
-    // aborted mid-trace (an invariant violation during capture).
-    exec::RecordedTrace trace;
-    {
-        dyn::InvariantChecker checker(module, invariants, {});
-        exec::TraceRecorder recorder;
-        exec::Interpreter interp(module, violating);
-        interp.setRecorder(&recorder);
-        checker.setControl(&interp);
-        interp.attach(&checker, &checker.plan());
-        trace.result = interp.run();
-        trace.events = recorder.take();
-        ASSERT_TRUE(checker.violated());
-    }
-    ASSERT_EQ(trace.result.status, exec::RunResult::Status::Aborted);
+    // Record *with* a checker attached, on the recording pass: the
+    // violation stops the checker's group only, and the recording runs
+    // to the end, so the capture stays complete for every later
+    // consumer.
+    dyn::InvariantChecker checker(module, invariants, {});
+    std::vector<exec::RunResult> groups;
+    const exec::RecordedTrace trace = exec::recordRun(
+        module, violating, {},
+        [&](exec::DispatchCore &source) {
+            checker.setControl(&source.control(0));
+            source.attach(&checker, &checker.plan());
+        },
+        groups);
+    ASSERT_TRUE(checker.violated());
+    ASSERT_EQ(groups.size(), 1u);
+    EXPECT_EQ(groups[0].status, exec::RunResult::Status::Aborted);
+    EXPECT_TRUE(groups[0].outputs.empty());
 
-    // A full replay of the truncated trace reports the recorded
-    // outcome — status, reason, step count — and delivers exactly the
-    // events that happened before the abort.
-    const auto plan = dyn::fullFastTrackPlan(module);
-    dyn::FastTrack tool;
+    // The capture is the uninstrumented run's, byte for byte.
+    const exec::RecordedTrace plain = exec::recordRun(module, violating);
+    EXPECT_EQ(trace.result.status, exec::RunResult::Status::Finished);
+    EXPECT_EQ(trace.result.steps, plain.result.steps);
+    EXPECT_EQ(trace.result.outputs, plain.result.outputs);
+    EXPECT_EQ(trace.result.outputs.size(), 2u);
+    EXPECT_EQ(eventVec(trace.result.totalEvents),
+              eventVec(plain.result.totalEvents));
+    EXPECT_EQ(trace.events.sizeBytes(), plain.events.sizeBytes());
+
+    // A replay of the complete capture under the same checker stops
+    // exactly where the live group did.
+    dyn::InvariantChecker again(module, invariants, {});
     exec::TraceReplayer replayer(module, trace);
-    replayer.attach(&tool, &plan);
-    const exec::RunResult result = replayer.run();
-    EXPECT_EQ(result.status, exec::RunResult::Status::Aborted);
-    EXPECT_EQ(result.abortReason, trace.result.abortReason);
-    EXPECT_EQ(result.steps, trace.result.steps);
-    EXPECT_TRUE(result.outputs.empty());
-    EXPECT_EQ(eventVec(result.totalEvents),
-              eventVec(trace.result.totalEvents));
+    again.setControl(&replayer);
+    replayer.attach(&again, &again.plan());
+    const exec::RunResult replayed = replayer.run();
+    EXPECT_EQ(replayed.status, exec::RunResult::Status::Aborted);
+    EXPECT_EQ(replayed.abortReason, groups[0].abortReason);
+    EXPECT_EQ(replayed.abortMeta, groups[0].abortMeta);
+    EXPECT_EQ(replayed.steps, groups[0].steps);
+    EXPECT_LT(replayed.steps, trace.result.steps);
+    EXPECT_TRUE(replayed.outputs.empty());
+    EXPECT_EQ(eventVec(replayed.totalEvents),
+              eventVec(groups[0].totalEvents));
+    ASSERT_EQ(replayed.delivered.size(), 1u);
+    EXPECT_EQ(eventVec(replayed.delivered[0]),
+              eventVec(groups[0].delivered[0]));
 }
 
 TEST(TraceReplayEdge, StepLimitTruncationReplaysIdentically)
@@ -603,10 +621,12 @@ expectEqual(const GroupSnapshot &solo, const GroupSnapshot &grouped,
     EXPECT_EQ(solo.threadLog, grouped.threadLog) << label;
 }
 
-/** Replay @p trace once with every spec of @p specs as one group. */
+/** Run one pass with every spec of @p specs as one group; @p pass
+ *  attaches the groups to an event source and runs it. */
 std::vector<GroupSnapshot>
-replayGroups(const ir::Module &module, const exec::RecordedTrace &trace,
-             const std::vector<GroupSpec> &specs)
+specGroups(const ir::Module &module, const std::vector<GroupSpec> &specs,
+           const std::function<std::vector<exec::RunResult>(
+               const exec::GroupSetup &)> &pass)
 {
     const auto allPlan = exec::InstrumentationPlan::all(module);
     std::vector<std::vector<std::unique_ptr<dyn::FastTrack>>> fts(
@@ -617,35 +637,36 @@ replayGroups(const ir::Module &module, const exec::RecordedTrace &trace,
         specs.size());
     std::vector<std::unique_ptr<AbortAtTool>> aborters(specs.size());
 
-    exec::TraceReplayer replayer(module, trace);
-    for (std::size_t g = 0; g < specs.size(); ++g) {
-        const GroupSpec &spec = specs[g];
-        if (g > 0) {
-            EXPECT_EQ(replayer.addGroup(), g);
-        }
-        for (const exec::InstrumentationPlan *plan : spec.plans) {
-            if (spec.giri) {
-                giris[g].push_back(
-                    std::make_unique<dyn::GiriSlicer>(module));
-                replayer.attach(giris[g].back().get(), plan);
-            } else {
-                fts[g].push_back(std::make_unique<dyn::FastTrack>());
-                replayer.attach(fts[g].back().get(), plan);
+    auto setup = [&](exec::DispatchCore &source) {
+        for (std::size_t g = 0; g < specs.size(); ++g) {
+            const GroupSpec &spec = specs[g];
+            if (g > 0) {
+                EXPECT_EQ(source.addGroup(), g);
+            }
+            for (const exec::InstrumentationPlan *plan : spec.plans) {
+                if (spec.giri) {
+                    giris[g].push_back(
+                        std::make_unique<dyn::GiriSlicer>(module));
+                    source.attach(giris[g].back().get(), plan);
+                } else {
+                    fts[g].push_back(std::make_unique<dyn::FastTrack>());
+                    source.attach(fts[g].back().get(), plan);
+                }
+            }
+            if (spec.checkerInvariants) {
+                checkers[g] = std::make_unique<dyn::InvariantChecker>(
+                    module, *spec.checkerInvariants, dyn::CheckerConfig{});
+                checkers[g]->setControl(&source.control(g));
+                source.attach(checkers[g].get(), &checkers[g]->plan());
+            }
+            if (spec.abortAt) {
+                aborters[g] = std::make_unique<AbortAtTool>(spec.abortAt);
+                aborters[g]->setControl(&source.control(g));
+                source.attach(aborters[g].get(), &allPlan);
             }
         }
-        if (spec.checkerInvariants) {
-            checkers[g] = std::make_unique<dyn::InvariantChecker>(
-                module, *spec.checkerInvariants, dyn::CheckerConfig{});
-            checkers[g]->setControl(&replayer.control(g));
-            replayer.attach(checkers[g].get(), &checkers[g]->plan());
-        }
-        if (spec.abortAt) {
-            aborters[g] = std::make_unique<AbortAtTool>(spec.abortAt);
-            aborters[g]->setControl(&replayer.control(g));
-            replayer.attach(aborters[g].get(), &allPlan);
-        }
-    }
-    const std::vector<exec::RunResult> results = replayer.runGroups();
+    };
+    const std::vector<exec::RunResult> results = pass(setup);
     EXPECT_EQ(results.size(), specs.size());
 
     std::vector<GroupSnapshot> out(specs.size());
@@ -668,6 +689,67 @@ replayGroups(const ir::Module &module, const exec::RecordedTrace &trace,
             snap.threadLog = aborters[g]->threadLog;
     }
     return out;
+}
+
+/** Replay @p trace once with every spec of @p specs as one group. */
+std::vector<GroupSnapshot>
+replayGroups(const ir::Module &module, const exec::RecordedTrace &trace,
+             const std::vector<GroupSpec> &specs)
+{
+    return specGroups(module, specs, [&](const exec::GroupSetup &setup) {
+        return exec::replayRun(module, trace, setup);
+    });
+}
+
+/** Record @p config into @p trace with every spec of @p specs as one
+ *  group on the recording pass. */
+std::vector<GroupSnapshot>
+recordGroups(const ir::Module &module, const exec::ExecConfig &config,
+             const exec::TraceStoreOptions &options,
+             const std::vector<GroupSpec> &specs,
+             exec::RecordedTrace &trace)
+{
+    return specGroups(module, specs, [&](const exec::GroupSetup &setup) {
+        std::vector<exec::RunResult> groups;
+        trace = exec::recordRun(module, config, options, setup, groups);
+        return groups;
+    });
+}
+
+/** Analyse @p config on its recording pass under @p specs, and expect
+ *  (a) the capture to equal a plain recording's, (b) no replay pass,
+ *  and (c) every group to equal a replay of the capture under the same
+ *  specs.  Returns the recording pass's snapshots. */
+std::vector<GroupSnapshot>
+expectRecordingPassMatchesReplay(const ir::Module &module,
+                                 const exec::ExecConfig &config,
+                                 const exec::TraceStoreOptions &options,
+                                 const std::vector<GroupSpec> &specs,
+                                 const std::string &label)
+{
+    exec::RecordedTrace trace;
+    const std::uint64_t passesBefore = exec::testing::replayPassesNow();
+    const std::vector<GroupSnapshot> live =
+        recordGroups(module, config, options, specs, trace);
+    EXPECT_EQ(exec::testing::replayPassesNow(), passesBefore) << label;
+
+    const exec::RecordedTrace plain =
+        exec::recordRun(module, config, options);
+    RunSnapshot a, b;
+    fillCommon(a, trace.result);
+    fillCommon(b, plain.result);
+    expectEqual(b, a, label + " capture");
+    EXPECT_EQ(trace.events.sizeBytes(), plain.events.sizeBytes()) << label;
+    EXPECT_EQ(trace.events.numSegments(), plain.events.numSegments())
+        << label;
+
+    const std::vector<GroupSnapshot> replayed =
+        replayGroups(module, trace, specs);
+    EXPECT_EQ(live.size(), replayed.size()) << label;
+    for (std::size_t g = 0; g < std::min(live.size(), replayed.size()); ++g)
+        expectEqual(replayed[g], live[g],
+                    label + " group " + std::to_string(g));
+    return live;
 }
 
 /** Replay @p specs grouped and each spec solo; expect every group to
@@ -808,6 +890,84 @@ TEST(ReplayGroups, RandomProgramsMatchSoloReplays)
     EXPECT_GT(midStreamAborts, 0u);
 }
 
+TEST(ReplayGroups, RecordingPassMatchesReplay)
+{
+    // Analysis on the recording pass: the pipelines' pass shapes on
+    // every race and slice workload (checker aborts included), spilled
+    // into several segments, and random programs with a group aborting
+    // mid-stream.
+    exec::TraceStoreOptions spill;
+    spill.segmentBytes = 4096;
+    std::size_t aborted = 0;
+    for (const auto &name : workloads::raceWorkloadNames()) {
+        const auto workload = workloads::makeRaceWorkload(name, 2, 3);
+        const ir::Module &module = *workload.module;
+        const auto invariants = profiled(module, workload.profilingSet);
+        const auto sound = analysis::runStaticRaceDetector(module, nullptr);
+        const auto predicated =
+            analysis::runStaticRaceDetector(module, &invariants);
+        const auto fullPlan = dyn::fullFastTrackPlan(module);
+        const auto hybridPlan =
+            dyn::hybridFastTrackPlan(module, sound.racyAccesses);
+        const auto optPlan = dyn::optimisticFastTrackPlan(
+            module, predicated.racyAccesses, invariants);
+        const std::vector<GroupSpec> specs = {
+            {.plans = {&fullPlan}},
+            {.plans = {&hybridPlan}},
+            {.plans = {&optPlan}, .checkerInvariants = &invariants},
+        };
+        for (const exec::ExecConfig &config : workload.testingSet) {
+            aborted += expectRecordingPassMatchesReplay(module, config,
+                                                        spill, specs, name)
+                           .back()
+                           .run.violated;
+        }
+    }
+    for (const auto &name : workloads::sliceWorkloadNames()) {
+        const auto workload = workloads::makeSliceWorkload(name, 2, 3);
+        const ir::Module &module = *workload.module;
+        const auto invariants = profiled(module, workload.profilingSet);
+        const auto plan = dyn::fullGiriPlan(module);
+        std::vector<InstrId> endpoints = outputInstrs(module);
+        endpoints.resize(std::min<std::size_t>(endpoints.size(), 3));
+        const std::vector<GroupSpec> specs = {
+            {.giri = true, .plans = {&plan, &plan}, .endpoints = endpoints},
+            {.giri = true,
+             .plans = {&plan, &plan},
+             .endpoints = endpoints,
+             .checkerInvariants = &invariants},
+        };
+        for (const exec::ExecConfig &config : workload.testingSet) {
+            aborted += expectRecordingPassMatchesReplay(module, config, {},
+                                                        specs, name)
+                           .back()
+                           .run.violated;
+        }
+    }
+    EXPECT_GT(aborted, 0u) << "no checker aborted on a recording pass";
+
+    for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+        testing_support::ProgramGen gen(seed * 7919 + 3);
+        const auto module = gen.generate(/*multithreaded=*/seed % 2 == 1);
+        exec::ExecConfig config;
+        config.input = {2, 7, 1, 8, 2, 8, 1, 8};
+        config.scheduleSeed = seed;
+        const exec::RecordedTrace plain = exec::recordRun(*module, config);
+        const std::uint64_t events = allPlanEvents(*module, plain);
+        const auto ftPlan = dyn::fullFastTrackPlan(*module);
+        const auto giriPlan = dyn::fullGiriPlan(*module);
+        const std::vector<GroupSpec> specs = {
+            {.plans = {&ftPlan}, .abortAt = 1 + seed % events},
+            {.giri = true,
+             .plans = {&giriPlan},
+             .endpoints = outputInstrs(*module)},
+            {.plans = {&ftPlan}, .abortAt = events},
+        };
+        expectRecordingPassMatchesReplay(*module, config, {}, specs,
+                                         "seed " + std::to_string(seed));
+    }
+}
+
 TEST(ReplayGroups, OneGroupAbortsMidStreamOthersRunToTheEnd)
 {
     const auto workload = workloads::makeRaceWorkload("sunflow", 1, 1);
@@ -937,33 +1097,47 @@ TEST(ReplayGroups, StoppedGroupGetsNoThreadCallbacks)
 
 TEST(ReplayGroups, PipelinesDecodeEachCaptureOncePerRound)
 {
-    // Rollback-free runs: OptFT fuses full, hybrid and optimistic
-    // FastTrack into one pass per capture; OptSlice fuses the hybrid
-    // references with the first (only) optimistic round.  Calibration
-    // is off so its replays of profiling captures do not count.
+    // Rollback-free runs.  Cold, every input is analysed on its
+    // recording pass: OptFT runs full, hybrid and optimistic FastTrack
+    // live next to the recorder, OptSlice the hybrid references with
+    // the first (only) optimistic round, so no capture is decoded at
+    // all.  Warm, the captures come from the shared cache and each is
+    // decoded exactly once.  Calibration is off so its replays of
+    // profiling captures do not count.
+    service::SharedCache::instance().reset();
     const auto race = workloads::makeRaceWorkload("raytracer", 16, 4);
     core::OptFtConfig ftConfig;
     ftConfig.customSyncCalibrationRuns = 0;
     std::uint64_t before = exec::testing::replayPassesNow();
     const auto ft = core::runOptFt(race, ftConfig);
     ASSERT_EQ(ft.misSpeculations, 0u);
+    EXPECT_EQ(exec::testing::replayPassesNow() - before, 0u);
+    before = exec::testing::replayPassesNow();
+    const auto ftWarm = core::runOptFt(race, ftConfig);
     EXPECT_EQ(exec::testing::replayPassesNow() - before, ft.testRuns);
+    expectEqual(ft, ftWarm, "raytracer cold vs warm");
 
     const auto slice = workloads::makeSliceWorkload("zlib", 16, 4);
     before = exec::testing::replayPassesNow();
     const auto sliced = core::runOptSlice(slice, core::OptSliceConfig{});
     ASSERT_EQ(sliced.misSpeculations, 0u);
     ASSERT_LE(sliced.endpoints, 3u);
+    EXPECT_EQ(exec::testing::replayPassesNow() - before, 0u);
+    before = exec::testing::replayPassesNow();
+    const auto slicedWarm =
+        core::runOptSlice(slice, core::OptSliceConfig{});
     EXPECT_EQ(exec::testing::replayPassesNow() - before, sliced.testRuns);
+    expectEqual(sliced, slicedWarm, "zlib cold vs warm");
 }
 
 TEST(ReplayGroups, ManyEndpointsSpanSeveralPassesPerInput)
 {
     // With maxEndpoints = 5, nginx gets all four of its endpoints:
     // 4 hybrid + 4 optimistic slicers + a checker exceed one pass's
-    // attachments, so each input takes two passes in the first round.
-    // redis mis-speculates, so later rounds restart mid-input.  Both
-    // must equal the live pipeline.
+    // attachments, so each input takes two passes in the first round:
+    // the recording pass, and one replay of the capture.  redis
+    // mis-speculates, so later rounds restart mid-input.  Both must
+    // equal the live pipeline.
     for (const char *name : {"nginx", "redis"}) {
         const auto workload = workloads::makeSliceWorkload(name, 4, 6);
         core::OptSliceConfig live;
@@ -982,7 +1156,7 @@ TEST(ReplayGroups, ManyEndpointsSpanSeveralPassesPerInput)
         EXPECT_TRUE(b.sliceResultsMatch) << name;
         if (std::string(name) == "nginx") {
             ASSERT_EQ(b.endpoints, 4u);
-            EXPECT_GE(passes, 2 * b.testRuns);
+            EXPECT_GE(passes, b.testRuns);
         } else {
             ASSERT_GT(b.misSpeculations, 0u);
             EXPECT_GT(passes, b.testRuns);
